@@ -6,9 +6,9 @@
 //!          [--governor nocompression|alwayscompress|acc|acckagura]
 //! ```
 //!
-//! For each app, times one complete single-thread run under both machine
-//! loops — the event-driven fast-forward path (the default) and the naive
-//! per-instruction reference loop — and a *saturated* fast run (one copy
+//! For each app, times one complete single-thread run under both exec
+//! modes — the event-driven fast-forward path (the default) and the
+//! all-skips-off reference mode — and a *saturated* fast run (one copy
 //! of the same simulation per host core, measuring aggregate simulated
 //! instructions/sec under full load). Writes `BENCH_sim.json`.
 //!

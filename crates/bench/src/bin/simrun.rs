@@ -77,9 +77,8 @@ use std::path::Path;
 use ehs_compress::Algorithm;
 use ehs_energy::{CapacitorConfig, PowerTrace, TraceKind};
 use ehs_sim::{
-    run_program, run_program_with_cachescope, run_program_with_telemetry, CachescopeConfig,
-    EhsDesign, Extension, FaultKind, GovernorSpec, LeakscopeOptions, SimConfig, SimStats,
-    Simulator,
+    run_program_with, Attach, CachescopeConfig, EhsDesign, Extension, FaultKind, GovernorSpec,
+    LeakscopeOptions, SimConfig, SimStats,
 };
 use ehs_telemetry::{ChromeTraceSink, JsonlSink, Sink, Stamped};
 use ehs_workloads::App;
@@ -587,11 +586,8 @@ fn run() -> Result<(), CliError> {
                 .into(),
         ));
     }
-    // Filled on the cachescope path; rendered after the stats report.
-    let mut scope_parsed = None;
-    let mut scope_report = None;
-    let (stats, metrics) = if instrumented {
-        let mut sink = TeeSink::default();
+    let mut sink = TeeSink::default();
+    if instrumented {
         let open = |p: &str| {
             JsonlSink::create(Path::new(p)).map_err(|e| CliError::Runtime(format!("{p}: {e}")))
         };
@@ -604,15 +600,16 @@ fn run() -> Result<(), CliError> {
         if let Some(p) = flight_path {
             sink.flight = Some(open(p)?);
         }
-        let (stats, metrics) = match inject {
-            Some((at, kind)) => {
-                let mut sim = Simulator::new(cfg.clone(), &program, &trace);
-                sim.arm_fault(at, kind);
-                sim.attach_telemetry(&mut sink);
-                sim.run_instrumented()
-            }
-            None => run_program_with_telemetry(&program, &trace, &cfg, &mut sink),
-        };
+    }
+    let attach = Attach {
+        telemetry: instrumented.then_some(&mut sink as &mut dyn Sink),
+        cachescope: scope_path.map(|_| scope),
+        leak_timeline: None,
+        fault: inject,
+    };
+    let out = run_program_with(&program, &trace, &cfg, attach);
+    let (stats, metrics, scope_report) = (out.stats, out.metrics, out.cachescope);
+    if instrumented {
         if let Some(err) = sink.jsonl.as_ref().and_then(JsonlSink::error) {
             return Err(CliError::Runtime(format!(
                 "writing {}: {err}",
@@ -635,39 +632,20 @@ fn run() -> Result<(), CliError> {
         if let Some(p) = flight_path {
             eprintln!("flight record written to {p}");
         }
-        (stats, Some(metrics))
-    } else if let Some(scope_file) = scope_path {
-        let (stats, report) = match inject {
-            Some((at, kind)) => {
-                let mut sim = Simulator::new(cfg.clone(), &program, &trace);
-                sim.arm_fault(at, kind);
-                sim.attach_cachescope(scope);
-                sim.run_with_cachescope()
-            }
-            None => run_program_with_cachescope(&program, &trace, &cfg, scope),
-        };
+    }
+    // Rendered after the stats report.
+    let mut scope_parsed = None;
+    if let (Some(scope_file), Some(report)) = (scope_path, &scope_report) {
         let labels = ScopeLabels::new(app.name(), cfg.design.name(), cfg.governor.label());
         let path = Path::new(scope_file);
-        cachescope::write_jsonl(path, &labels, &report)
+        cachescope::write_jsonl(path, &labels, report)
             .map_err(|e| CliError::Runtime(format!("{scope_file}: {e}")))?;
         // Parse the freshly-written stream back strictly: every dump is
         // its own schema round-trip check, and the rendered report below
         // comes from the parsed stream, not the in-memory report.
         scope_parsed = Some(cachescope::parse_cachescope_file(path).map_err(CliError::Runtime)?);
-        scope_report = Some(report);
         eprintln!("cachescope stream written to {scope_file}");
-        (stats, None)
-    } else {
-        let stats = match inject {
-            Some((at, kind)) => {
-                let mut sim = Simulator::new(cfg.clone(), &program, &trace);
-                sim.arm_fault(at, kind);
-                sim.run()
-            }
-            None => run_program(&program, &trace, &cfg),
-        };
-        (stats, None)
-    };
+    }
     if args.has("--json") {
         let mut report = json_report(&stats);
         if let serde_json::Value::Object(members) = &mut report {

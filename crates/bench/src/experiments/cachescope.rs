@@ -1,8 +1,7 @@
 //! Cachescope experiment: per-app × design × governor cache reports.
 //!
-//! Every cell runs with a [`ehs_sim::CachescopeConfig`] attached — still
-//! on the fast-forward loop, since cachescope does not force the
-//! reference loop — and folds the probe stream into occupancy,
+//! Every cell runs with a [`ehs_sim::CachescopeConfig`] attached and
+//! folds the probe stream into occupancy,
 //! compressibility, lifetime and latency-attribution aggregates. The
 //! canonical cell per app (NVSRAMCache × ACC+Kagura) additionally
 //! samples periodic full-cache occupancy snapshots and, under
@@ -10,7 +9,8 @@
 //! `cachescope_<app>.jsonl` — the input `repro explain` renders and CI
 //! parses back strictly.
 
-use ehs_sim::{CachescopeConfig, CachescopeReport, EhsDesign, GovernorSpec, SimStats};
+use ehs_sim::runner::default_trace;
+use ehs_sim::{Attach, CachescopeConfig, CachescopeReport, EhsDesign, GovernorSpec, SimStats};
 use ehs_workloads::App;
 use kagura_core::KaguraConfig;
 use serde_json::{json, Value};
@@ -63,7 +63,11 @@ pub fn cachescope(ctx: &ExpContext) -> Value {
             } else {
                 CachescopeConfig::default()
             };
-            ehs_sim::run_app_with_cachescope(app, ctx.scale, &config, scope)
+            let program = app.build(ctx.scale);
+            let trace = default_trace(&config);
+            let attach = Attach { cachescope: Some(scope), ..Attach::default() };
+            let out = ehs_sim::run_program_with(&program, &trace, &config, attach);
+            (out.stats, out.cachescope.expect("cachescope attached"))
         });
     for (stats, _) in &runs {
         ctx.add_cell_stats(stats);

@@ -8,7 +8,8 @@
 //! experiment replays that stream for the simple and sophisticated
 //! estimators (paper §VI-A) and reports per-app prediction error.
 
-use ehs_sim::{GovernorSpec, SimConfig};
+use ehs_sim::runner::default_trace;
+use ehs_sim::{Attach, GovernorSpec, SimConfig};
 use ehs_telemetry::{Event, Stamped, VecSink};
 use ehs_workloads::App;
 use kagura_core::{EstimatorKind, KaguraConfig};
@@ -71,8 +72,11 @@ pub fn estimator_accuracy(ctx: &ExpContext) -> Value {
         parallel_map(jobs, |&(app, estimator, label)| {
             let kcfg = KaguraConfig { estimator, ..Default::default() };
             let config: SimConfig = cfg(GovernorSpec::AccKagura(kcfg));
+            let program = app.build(ctx.scale);
+            let trace = default_trace(&config);
             let mut sink = VecSink::new();
-            let _ = ehs_sim::run_app_with_telemetry(app, ctx.scale, &config, &mut sink);
+            let attach = Attach { telemetry: Some(&mut sink), ..Attach::default() };
+            ehs_sim::run_program_with(&program, &trace, &config, attach);
             (app, label, sink.into_events())
         });
 

@@ -118,7 +118,7 @@ impl CacheProbe for AccessTimeline {
 
     fn on_hit_run(&mut self, set: u32, _full_segments: u32, n: u64) {
         // Contractually n MRU uncompressed hits of reuse 1 — expand so the
-        // stream matches what the reference loop reports one at a time.
+        // stream matches what unbatched steps report one at a time.
         let latency = self.model.hit;
         for _ in 0..n {
             self.push(TimelineRecord { set, latency, hit: true, occ_delta: 0 });

@@ -166,6 +166,11 @@ impl Capacitor {
         self.stored = self.config.energy_at(self.config.v_max);
     }
 
+    /// Sets the stored energy directly (testing / scenario setup).
+    pub fn set_stored(&mut self, stored: Energy) {
+        self.stored = stored;
+    }
+
     /// Sets the voltage directly (testing / scenario setup).
     ///
     /// # Panics

@@ -14,12 +14,11 @@
 //! # Determinism
 //!
 //! Everything here is a pure fold over the probe event stream plus
-//! simulator state that both execution loops maintain identically, so a
+//! simulator state that both exec modes maintain identically, so a
 //! [`CachescopeReport`] is bit-identical between the fast-forward and
-//! reference loops (`tests/fastpath.rs` asserts this, along with
+//! reference modes (`tests/fastpath.rs` asserts this, along with
 //! `SimStats` equality and the exact cycle partition
-//! `latency.total() == stats.total_cycles`). Unlike telemetry, an
-//! attached cachescope does *not* force the reference loop.
+//! `latency.total() == stats.total_cycles`).
 
 use ehs_cache::SetOccupancy;
 use ehs_cache::{CacheConfig, CacheProbe, EvictionReason, ProbeEviction, ProbeFill, ProbeHit};
@@ -278,7 +277,8 @@ pub(crate) struct ScopeState {
     /// Instructions until the next snapshot. Maintained exactly like the
     /// EDBP scan countdown: the fast path's ALU batch is capped to
     /// `countdown - 1` so the count never reaches 0 inside a batched run
-    /// and both loops fire snapshots on identical instruction boundaries.
+    /// and both exec modes fire snapshots on identical instruction
+    /// boundaries.
     pub snap_countdown: u64,
     /// Where the cycles went so far.
     pub attr: LatencyAttribution,

@@ -222,23 +222,25 @@ impl StepBudget {
     }
 }
 
-/// Which implementation of the step loop drives the simulation.
+/// Which skips the one machine step takes.
 ///
-/// Both modes are **byte-identical** in results by construction (the fast
-/// path only elides work that provably cannot change state — see
-/// DESIGN.md "Fast path" — and the differential tests in
-/// `crates/sim/tests/fastpath.rs` enforce it). `Reference` exists as the
-/// plainly-auditable baseline: one `step()` per instruction with every
-/// subsystem consulted unconditionally. It is what the fast path is
-/// validated and benchmarked against.
+/// Both modes run the same loop and the same `step` (one decode cursor,
+/// one `dt` table, one hoisted-leakage `advance`) and are
+/// **byte-identical** in results: the fast path only elides work that
+/// provably cannot change state (see DESIGN.md "Fast path"), and the
+/// differential tests in `crates/sim/tests/fastpath.rs` and
+/// `tests/telemetry_differential.rs` enforce it. Attached telemetry does
+/// not change the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// Event-driven fast-forward loop (the default): batches runs of
-    /// non-memory instructions and skips provably-dead subsystem calls.
+    /// The default: batches runs of ALU instructions and skips work that
+    /// is unobservable for the run's governor.
     #[default]
     FastForward,
-    /// Naive per-instruction loop, kept as the differential-testing and
-    /// benchmarking baseline.
+    /// Every skip off — no ALU batching; shadow tags, deep-hit credit and
+    /// the full cache read/write paths always; `on_voltage` every step;
+    /// `Capacitor::below_checkpoint()` instead of the precomputed cutoff.
+    /// The oracle the fast path is validated and benchmarked against.
     Reference,
 }
 
@@ -308,8 +310,8 @@ pub struct SimConfig {
     pub max_sim_time: SimTime,
     /// Cooperative watchdog budget ([`StepBudget::UNLIMITED`] by default).
     pub step_budget: StepBudget,
-    /// Step-loop implementation ([`ExecMode::FastForward`] by default;
-    /// results are byte-identical either way).
+    /// Step skips ([`ExecMode::FastForward`] by default; results are
+    /// byte-identical either way).
     pub exec: ExecMode,
     /// Keep one [`CycleRecord`](crate::stats::CycleRecord) per completed
     /// power cycle in `SimStats::power_cycles` (on by default — the

@@ -28,7 +28,7 @@ use ehs_model::Power;
 use ehs_workloads::{AddrGen, KernelProgram, KernelSpec, Op, Phase, ValGen};
 
 use crate::config::SimConfig;
-use crate::machine::{FaultKind, Simulator};
+use crate::machine::{FaultKind, RunOutput, Simulator};
 use crate::parallel;
 use crate::stats::SimStats;
 
@@ -200,7 +200,7 @@ pub fn golden_state(program: &KernelProgram, cfg: &SimConfig) -> GoldenState {
         "fault campaigns drive the simulator directly; ideal two-phase specs are not injectable"
     );
     let trace = steady_trace();
-    let (stats, nvm) = Simulator::new(cfg.clone(), program, &trace).run_with_memory();
+    let RunOutput { stats, nvm, .. } = Simulator::new(cfg.clone(), program, &trace).execute();
     assert!(
         stats.completed,
         "golden run of {} under {}/{} hit the time guard — raise cfg.max_sim_time",
@@ -263,7 +263,7 @@ pub fn run_campaign(
     let outcomes = parallel::map(points, |at_inst| {
         let mut sim = Simulator::new(cfg.clone(), program, &trace);
         sim.arm_fault(at_inst, kind);
-        let (stats, mut nvm) = sim.run_with_memory();
+        let RunOutput { stats, mut nvm, .. } = sim.execute();
         let blocks =
             if stats.completed { diff_nvm(&mut golden.nvm.clone(), &mut nvm) } else { Vec::new() };
         (at_inst, stats.completed, stats.decode_faults, blocks)

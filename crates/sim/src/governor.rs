@@ -106,15 +106,22 @@ impl Governor {
 
     /// `true` when [`CompressionGovernor::on_voltage`] can observably act
     /// for this policy, i.e. the per-instruction voltage sample must not be
-    /// skipped. Only Kagura reacts to voltage (and only with a
-    /// [`TriggerKind::Voltage`] trigger); the oracle wrappers around Kagura
-    /// are counted conservatively because they delegate to an inner Kagura
-    /// whose trigger this method does not inspect.
+    /// skipped. Only Kagura reacts to voltage, and only with a
+    /// [`TriggerKind::Voltage`] trigger — whether deployed or wrapped by
+    /// an oracle phase (which delegates `on_voltage` unchanged).
     pub fn voltage_sensitive(&self) -> bool {
+        self.as_kagura().is_some_and(|k| matches!(k.config().trigger, TriggerKind::Voltage { .. }))
+    }
+
+    /// The live Kagura controller, for the deployed policy and for both
+    /// oracle phases over ACC + Kagura (which drive a real inner Kagura);
+    /// `None` for policies without one.
+    pub fn as_kagura(&self) -> Option<&Kagura<Acc>> {
         match self {
-            Governor::Kagura(k) => matches!(k.config().trigger, TriggerKind::Voltage { .. }),
-            Governor::RecordKagura(_) | Governor::ReplayKagura(_) => true,
-            _ => false,
+            Governor::Kagura(k) => Some(k),
+            Governor::RecordKagura(r) => Some(r.inner()),
+            Governor::ReplayKagura(r) => Some(r.inner()),
+            _ => None,
         }
     }
 
@@ -179,21 +186,7 @@ impl Governor {
             k.drain_events(f);
         }
     }
-
-    /// Kagura's register file and current mode, for the flight recorder;
-    /// `None` for policies without the Kagura controller (including the
-    /// oracle variants, whose embedded Kagura is not the deployed one).
-    pub fn kagura_snapshot(&self) -> Option<(KaguraRegisters, kagura_core::Mode)> {
-        match self {
-            Governor::Kagura(k) => Some((k.registers(), k.mode())),
-            _ => None,
-        }
-    }
 }
-
-/// Kagura's register file `(R_prev, R_mem, R_adjust, R_thres, R_evict)`
-/// as returned by [`Governor::kagura_snapshot`].
-pub type KaguraRegisters = (u64, u64, i64, u64, u64);
 
 impl CompressionGovernor for Governor {
     fn fill_mode(&mut self) -> FillMode {

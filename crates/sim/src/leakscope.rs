@@ -58,7 +58,8 @@ use ehs_telemetry::{
 use ehs_workloads::{AddrGen, KernelProgram, KernelSpec, Op, Phase};
 
 use crate::config::{GovernorSpec, SimConfig};
-use crate::runner::{default_trace, run_program_with_leak_timeline};
+use crate::machine::Attach;
+use crate::runner::{default_trace, run_program_with};
 
 /// Pad byte for attacker-controlled positions inside the final words.
 /// Non-zero so a wrong final word never degenerates into a
@@ -369,8 +370,10 @@ fn run_probe(
         repeats: 1,
         image: image.build(),
     });
-    let (_stats, timeline) =
-        run_program_with_leak_timeline(&program, trace, &cfg, opts.timeline_capacity);
+    let attach = Attach { leak_timeline: Some(opts.timeline_capacity), ..Attach::default() };
+    let timeline = run_program_with(&program, trace, &cfg, attach)
+        .leak_timeline
+        .expect("leak timeline attached");
     let accesses = timeline.records().len() as u64 + timeline.dropped();
     (timeline.last_in_set(geo.set), accesses)
 }

@@ -59,13 +59,10 @@ pub use faultinject::{FaultCampaignReport, GoldenState, InjectionPlan};
 pub use fleet::{FleetCell, FleetSpec, Permutation};
 pub use governor::Governor;
 pub use leakscope::{attack_cell, attack_trace, CellAttackReport, GuessProbe, LeakscopeOptions};
-pub use machine::{FaultKind, Simulator};
+pub use machine::{Attach, FaultKind, RunOutput, Simulator};
 pub use parallel::{
     pool_in_flight, run_batch, run_batch_with, run_job, run_job_with, JobFailure, RetryPolicy,
     SimJob,
 };
-pub use runner::{
-    run_app, run_app_with_cachescope, run_app_with_telemetry, run_ideal_app, run_program,
-    run_program_with_cachescope, run_program_with_leak_timeline, run_program_with_telemetry,
-};
+pub use runner::{run_app, run_ideal_app, run_program, run_program_with};
 pub use stats::{ConsistencyReport, CycleRecord, SimStats};

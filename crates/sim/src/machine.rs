@@ -121,7 +121,16 @@ fn checkpoint_cutoff_pj(capacitance: f64, v_ckpt: f64) -> f64 {
     f64::from_bits(hi_bits)
 }
 
-/// Loop-invariant state hoisted out of the fast path once per run.
+/// Per-run loop state: the loop invariants hoisted out of the step, and
+/// the skip mask that decides which provably unobservable work the one
+/// [`Simulator::step`] leaves out.
+///
+/// [`ExecMode::FastForward`] derives the mask from the governor and the
+/// config. [`ExecMode::Reference`] turns every skip off — no ALU
+/// batching; shadow tags, deep-hit credit and the full cache read/write
+/// paths always; `on_voltage` every step; `below_checkpoint()` instead of
+/// the precomputed cutoff — which keeps it the oracle the fast path's
+/// proofs are checked against.
 struct FastCtx {
     i_ways: u32,
     d_ways: u32,
@@ -132,11 +141,12 @@ struct FastCtx {
     clock_hz: f64,
     /// `dt` for `cycles == 1` (every instruction of a batched ALU run).
     dt1: SimTime,
-    /// `dt` per small cycle count, built with the reference loop's exact
-    /// expression so table lookups are bit-identical to the division.
+    /// `dt` per small cycle count, built with the division's exact
+    /// expression so table lookups are bit-identical to it.
     dt_table: Vec<SimTime>,
-    /// Stored-energy threshold equivalent to `below_checkpoint()`.
-    cutoff_pj: f64,
+    /// Stored-energy threshold equivalent to `below_checkpoint()`; `None`
+    /// under Reference, which asks the capacitor every step.
+    cutoff_pj: Option<f64>,
     /// Reciprocal of the upper bound on the capacitor drop of one
     /// batched ALU step (pJ): run lengths are capped by a multiply
     /// instead of a divide. The cap only needs to stay conservative —
@@ -147,16 +157,23 @@ struct FastCtx {
     /// `0.5 / dt1` in seconds, for the simulated-time cap (same
     /// reciprocal-multiply argument; the 0.5 margin dominates).
     half_inv_dt1: f64,
-    /// Shadow tags + oracle credit are observable (recording governors).
+    /// Shadow tags, oracle deep-hit credit and the full cache read/write
+    /// paths run (recording governors, and every Reference run). For all
+    /// other governors the shadow and credit work is unobservable:
+    /// `record_fill` returns `None`, so the oracle maps stay empty and
+    /// `mark_useful` is a no-op.
     track_oracle: bool,
-    /// The governor observably consumes per-instruction voltage samples.
+    /// The per-instruction voltage sample runs (voltage-triggered Kagura,
+    /// and every Reference run); for every other governor `on_voltage` is
+    /// a no-op.
     voltage_sensitive: bool,
-    /// ALU-run batching enabled (off for voltage-sensitive governors,
-    /// whose `on_voltage` must see every instruction boundary, and armed
-    /// wall budgets, whose amortised countdown ticks per instruction).
+    /// ALU-run batching enabled (off under Reference, for
+    /// voltage-sensitive governors, whose `on_voltage` must see every
+    /// instruction boundary, and for armed wall budgets, whose amortised
+    /// countdown ticks per instruction).
     batching: bool,
     max_executed: Option<u64>,
-    /// Combined SRAM leakage `icache + dcache`, hoisted for `advance_fast`.
+    /// Combined SRAM leakage `icache + dcache`, hoisted for `advance`.
     /// `None` under EDBP, whose dcache leakage scales with the live line
     /// fraction and so changes between instructions.
     sram_leak: Option<Power>,
@@ -166,6 +183,52 @@ struct FastCtx {
 }
 
 impl FastCtx {
+    fn new(sim: &Simulator<'_>) -> Self {
+        let cfg = &sim.cfg;
+        let reference = cfg.exec == ExecMode::Reference;
+        let clock_hz = cfg.system.core.clock_hz;
+        let dt_table: Vec<SimTime> =
+            (0..=DT_TABLE_CYCLES).map(|c| SimTime::from_seconds(c as f64 / clock_hz)).collect();
+        let dt1 = dt_table[1];
+        let cap_cfg = cfg.capacitor;
+        // Worst-case capacitor drop of one batched ALU step: its two
+        // spends plus every standby draw integrated over one cycle, with
+        // leakage taken at the clamp voltage (the capacitor never exceeds
+        // `v_max`, so `P_leak = k·C·V²` never exceeds this).
+        let leak_max = Power::from_watts(
+            cap_cfg.leak_coeff * cap_cfg.capacitance * cap_cfg.v_max * cap_cfg.v_max,
+        ) * dt1;
+        let sram_leak = cfg.system.icache.leakage() + cfg.system.dcache.leakage();
+        let per_step = cfg.system.icache.access_energy
+            + cfg.system.core.inst_energy
+            + leak_max
+            + sram_leak * dt1
+            + sim.monitor.standby_power() * dt1;
+        let voltage_sensitive = reference || sim.gov.voltage_sensitive();
+        FastCtx {
+            i_ways: cfg.system.icache.ways,
+            d_ways: cfg.system.dcache.ways,
+            block_size: cfg.system.dcache.block_size,
+            i_sets: cfg.system.icache.num_sets(),
+            i_access: cfg.system.icache.access_energy,
+            inst_energy: cfg.system.core.inst_energy,
+            clock_hz,
+            dt1,
+            dt_table,
+            cutoff_pj: (!reference)
+                .then(|| checkpoint_cutoff_pj(cap_cfg.capacitance, cap_cfg.v_ckpt)),
+            // The 2x margin dwarfs any f64 rounding slack in the bound.
+            inv_drop_max: 1.0 / (per_step.picojoules().max(f64::MIN_POSITIVE) * 2.0),
+            half_inv_dt1: 0.5 / dt1.seconds(),
+            track_oracle: reference || sim.gov.is_recorder(),
+            voltage_sensitive,
+            batching: !voltage_sensitive && cfg.step_budget.max_wall.is_none(),
+            max_executed: cfg.step_budget.max_executed_insts,
+            sram_leak: (!matches!(cfg.extension, Extension::Edbp { .. })).then_some(sram_leak),
+            mon_power: sim.monitor.standby_power(),
+        }
+    }
+
     fn dt(&self, cycles: u64) -> SimTime {
         match self.dt_table.get(cycles as usize) {
             Some(&dt) => dt,
@@ -205,6 +268,42 @@ pub enum FaultKind {
         /// Which payload bit to flip (taken modulo the payload size).
         bit: u32,
     },
+}
+
+/// What to attach to one run; everything is off by default. Apply with
+/// [`Simulator::attach`], or hand to [`crate::runner::run_program_with`].
+/// Attachments observe and never perturb: stats are identical with or
+/// without them, and the run stays on the same loop.
+#[derive(Default)]
+pub struct Attach<'s> {
+    /// Event sink and metrics registry ([`Simulator::attach_telemetry`]).
+    pub telemetry: Option<&'s mut dyn Sink>,
+    /// Cache-microarchitecture report ([`RunOutput::cachescope`]).
+    pub cachescope: Option<CachescopeConfig>,
+    /// Leakscope per-access data-cache timeline of this many records
+    /// ([`RunOutput::leak_timeline`]).
+    pub leak_timeline: Option<usize>,
+    /// One-shot forced fault `(at_executed_inst, kind)`
+    /// ([`Simulator::arm_fault`]).
+    pub fault: Option<(u64, FaultKind)>,
+}
+
+/// Everything one run produced ([`Simulator::execute`]).
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The run's statistics.
+    pub stats: SimStats,
+    /// Final NVM with all dirty cache state flushed: the program's
+    /// architectural memory image.
+    pub nvm: Nvm,
+    /// Metrics of an attached telemetry sink.
+    pub metrics: Option<MetricsRegistry>,
+    /// Report of an attached cachescope.
+    pub cachescope: Option<CachescopeReport>,
+    /// Timeline of an attached leak-timeline probe.
+    pub leak_timeline: Option<ehs_cache::AccessTimeline>,
+    /// The oracle trace, when the governor is a recorder.
+    pub oracle: Option<kagura_core::OracleTrace>,
 }
 
 /// Pre-registered metric handles for an instrumented run, resolved once
@@ -334,8 +433,10 @@ impl ShadowTags {
 
 /// One full-system simulation: program + power trace + configuration.
 ///
-/// Construct with [`Simulator::new`], execute with [`Simulator::run`]. A
-/// simulator is single-use: `run` consumes it and returns the statistics.
+/// Construct with [`Simulator::new`], optionally [`Simulator::attach`]
+/// observers, then execute with [`Simulator::execute`] (or its
+/// projection [`Simulator::run`]). A simulator is single-use: the run
+/// consumes it.
 #[derive(Debug)]
 pub struct Simulator<'p> {
     cfg: SimConfig,
@@ -411,9 +512,7 @@ pub struct Simulator<'p> {
     telemetry: Option<(Telemetry<'p>, TelemetryHandles)>,
     /// Cachescope latency attribution and snapshot state; `None` (the
     /// default) keeps every attribution site down to a single untaken
-    /// branch. Unlike `telemetry`, an attached cachescope does *not*
-    /// force the reference loop — the probes and attribution are
-    /// loop-agnostic (asserted by the fastpath differential suite).
+    /// branch.
     cachescope: Option<Box<ScopeState>>,
 }
 
@@ -536,9 +635,35 @@ impl<'p> Simulator<'p> {
         }
     }
 
+    /// Applies every attachment in `attach` (see [`Attach`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if both a cachescope and a leak timeline are requested:
+    /// each needs the data cache's single probe slot.
+    pub fn attach(&mut self, attach: Attach<'p>) {
+        assert!(
+            attach.cachescope.is_none() || attach.leak_timeline.is_none(),
+            "a cachescope and a leak timeline cannot share the data-cache probe"
+        );
+        if let Some(sink) = attach.telemetry {
+            self.attach_telemetry(sink);
+        }
+        if let Some(scope) = attach.cachescope {
+            self.attach_cachescope(scope);
+        }
+        if let Some(capacity) = attach.leak_timeline {
+            self.attach_leak_timeline(capacity);
+        }
+        if let Some((at, kind)) = attach.fault {
+            self.arm_fault(at, kind);
+        }
+    }
+
     /// Attaches an event sink and metrics registry for the whole run and
-    /// turns on the governor's internal event log. Drive the run with
-    /// [`Simulator::run_instrumented`] to get the metrics back.
+    /// turns on the governor's internal event log. The run stays on the
+    /// same loop as a detached one; [`RunOutput::metrics`] carries the
+    /// registry back.
     pub fn attach_telemetry(&mut self, sink: &'p mut dyn Sink) {
         let mut t = Telemetry::new(sink);
         let handles = TelemetryHandles::register(&mut t.metrics);
@@ -546,68 +671,10 @@ impl<'p> Simulator<'p> {
         self.telemetry = Some((t, handles));
     }
 
-    /// Runs to program completion (or the simulated-time guard) and
-    /// returns the statistics.
-    pub fn run(self) -> SimStats {
-        self.run_with_memory().0
-    }
-
-    /// Like [`Simulator::run`] but also returns the final NVM with all
-    /// dirty cache state flushed — the program's *architectural* memory
-    /// image, used by crash-consistency tests to check that hundreds of
-    /// power failures leave exactly the same bytes as a failure-free run.
-    pub fn run_with_memory(mut self) -> (SimStats, Nvm) {
-        self.run_loop();
-        // Flush residual dirty state so the NVM reflects architectural
-        // memory (free: this is an observation, not a simulated event).
-        let nvm = &mut self.nvm;
-        self.dcache.for_each_dirty(|addr, data, _| nvm.store_silent_from(addr, data));
-        let nvm = self.nvm.clone();
-        (self.finish(), nvm)
-    }
-
-    /// Extracts the oracle trace after a recording run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the governor is not a recorder.
-    pub fn run_recording(self) -> (SimStats, kagura_core::OracleTrace) {
-        let mut sim = self;
-        sim.run_loop();
-        let completed = sim.inst_index >= sim.program.len();
-        let gov = std::mem::replace(&mut sim.gov, Governor::none());
-        let mut stats = sim.finish();
-        stats.completed = completed;
-        let trace = gov.into_oracle_trace().expect("run_recording requires a recording governor");
-        (stats, trace)
-    }
-
-    /// Runs to completion like [`Simulator::run`], returning the metrics
-    /// accumulated by an attached telemetry sink alongside the stats. A
-    /// final snapshot is taken at end of run so the last (possibly
-    /// unfinished) power cycle's totals are captured too. Without
-    /// [`Simulator::attach_telemetry`] the metrics come back empty.
-    pub fn run_instrumented(mut self) -> (SimStats, MetricsRegistry) {
-        self.run_loop();
-        let metrics = match self.telemetry.take() {
-            Some((mut t, _)) => {
-                t.metrics.snapshot(self.cycles_done, self.now.micros());
-                t.into_metrics()
-            }
-            None => MetricsRegistry::default(),
-        };
-        (self.finish(), metrics)
-    }
-
     /// Attaches a cachescope: a [`CachescopeAggregator`] probe on each
     /// cache plus simulator-side latency attribution, power-cycle
     /// boundary rows, and (if configured) periodic occupancy snapshots.
-    /// Unlike telemetry, an attached cachescope keeps the fast-forward
-    /// loop engaged — aggregation is probe-driven and loop-agnostic, and
-    /// the fastpath differential suite asserts the reports are identical
-    /// under both loops. Drive the run with
-    /// [`Simulator::run_with_cachescope`].
-    pub fn attach_cachescope(&mut self, scope: CachescopeConfig) {
+    fn attach_cachescope(&mut self, scope: CachescopeConfig) {
         let i = CachescopeAggregator::new(self.icache.config());
         let d = CachescopeAggregator::new(self.dcache.config());
         self.icache.attach_probe(Box::new(i));
@@ -615,33 +682,11 @@ impl<'p> Simulator<'p> {
         self.cachescope = Some(Box::new(ScopeState::new(scope)));
     }
 
-    /// Runs to completion like [`Simulator::run`], returning the cache
-    /// report accumulated by an attached cachescope alongside the stats.
-    /// A final boundary row is recorded at end of run so the last
-    /// (possibly unfinished) power cycle is covered too.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a prior [`Simulator::attach_cachescope`].
-    pub fn run_with_cachescope(mut self) -> (SimStats, CachescopeReport) {
-        self.run_loop();
-        // Mirror `run` (via `run_with_memory`): flush residual dirty state
-        // so the returned stats are byte-identical to an unscoped run —
-        // `for_each_dirty` counts the flush's decompressions.
-        let nvm = &mut self.nvm;
-        self.dcache.for_each_dirty(|addr, data, _| nvm.store_silent_from(addr, data));
-        let report = self.take_cachescope_report();
-        (self.finish(), report)
-    }
-
     /// Attaches a leakscope access timeline to the data cache: a bounded
-    /// [`AccessTimeline`] probe recording the (set, latency, hit/miss,
-    /// occupancy-delta) tuple of every access, as a co-resident attacker
-    /// would observe it. Purely event-driven, so the fast-forward loop
-    /// stays engaged (the fastpath differential suite asserts identical
-    /// timelines under both loops). Drive the run with
-    /// [`Simulator::run_with_leak_timeline`].
-    pub fn attach_leak_timeline(&mut self, capacity: usize) {
+    /// [`AccessTimeline`](ehs_cache::AccessTimeline) probe recording the
+    /// (set, latency, hit/miss, occupancy-delta) tuple of every access,
+    /// as a co-resident attacker would observe it.
+    fn attach_leak_timeline(&mut self, capacity: usize) {
         let model = ehs_cache::LatencyModel {
             hit: self.cfg.system.dcache.hit_latency.get(),
             decompress: self.comp_cost.decompress_latency.get(),
@@ -653,34 +698,62 @@ impl<'p> Simulator<'p> {
         self.dcache.attach_probe(Box::new(probe));
     }
 
-    /// Runs to completion like [`Simulator::run`], returning the
-    /// per-access timeline recorded by the attached probe alongside the
-    /// stats.
+    /// Runs to program completion (or the simulated-time guard) and
+    /// returns the statistics.
+    pub fn run(self) -> SimStats {
+        self.execute().stats
+    }
+
+    /// [`Simulator::run`] plus the metrics of an attached telemetry sink
+    /// (empty without [`Simulator::attach_telemetry`]).
+    pub fn run_instrumented(self) -> (SimStats, MetricsRegistry) {
+        let out = self.execute();
+        (out.stats, out.metrics.unwrap_or_default())
+    }
+
+    /// The one run body: runs the machine loop to completion (or the
+    /// simulated-time guard, or an exhausted budget), flushes residual
+    /// dirty cache state to NVM, and collects whatever was attached.
     ///
-    /// # Panics
-    ///
-    /// Panics without a prior [`Simulator::attach_leak_timeline`].
-    pub fn run_with_leak_timeline(mut self) -> (SimStats, ehs_cache::AccessTimeline) {
+    /// The flush is an observation, not a simulated event (no energy, no
+    /// time), so the returned NVM is the program's *architectural*
+    /// memory image; `for_each_dirty` counts the flush's decompressions,
+    /// and every run ends with it, so stats agree whatever is attached.
+    pub fn execute(mut self) -> RunOutput {
         self.run_loop();
-        // Mirror `run`: flush residual dirty state so the returned stats
-        // are byte-identical to an unprobed run.
         let nvm = &mut self.nvm;
         self.dcache.for_each_dirty(|addr, data, _| nvm.store_silent_from(addr, data));
-        let timeline = *self
-            .dcache
-            .take_probe()
-            .expect("run_with_leak_timeline requires attach_leak_timeline")
-            .into_any()
-            .downcast::<ehs_cache::AccessTimeline>()
-            .expect("leak probe is an AccessTimeline");
-        (self.finish(), timeline)
+        // A final snapshot captures the last (possibly unfinished) power
+        // cycle's totals. Taken before the cachescope's end-of-run row,
+        // which would otherwise mirror into it.
+        let metrics = self.telemetry.take().map(|(mut t, _)| {
+            t.metrics.snapshot(self.cycles_done, self.now.micros());
+            t.into_metrics()
+        });
+        let cachescope = self.cachescope.is_some().then(|| self.take_cachescope_report());
+        let leak_timeline = self.dcache.take_probe().map(|probe| {
+            *probe
+                .into_any()
+                .downcast::<ehs_cache::AccessTimeline>()
+                .expect("the only remaining data-cache probe is a leak timeline")
+        });
+        self.finish();
+        let Simulator { stats, nvm, gov, .. } = self;
+        RunOutput {
+            stats,
+            nvm,
+            metrics,
+            cachescope,
+            leak_timeline,
+            oracle: gov.into_oracle_trace().ok(),
+        }
     }
 
     /// Records the end-of-run boundary row, detaches the probes and
     /// assembles the [`CachescopeReport`].
     fn take_cachescope_report(&mut self) -> CachescopeReport {
         self.cachescope_cycle_boundary();
-        let state = self.cachescope.take().expect("run_with_cachescope requires attach_cachescope");
+        let state = self.cachescope.take().expect("cachescope attached");
         fn recover(probe: Option<Box<dyn ehs_cache::CacheProbe>>) -> CachescopeAggregator {
             *probe
                 .expect("cachescope probe attached")
@@ -737,11 +810,10 @@ impl<'p> Simulator<'p> {
     }
 
     /// Counts down to the next periodic occupancy snapshot and fires it.
-    /// Called once per committed instruction at the end of `step` /
-    /// `step_fast`; batched ALU runs decrement in bulk and are capped to
+    /// Called once per committed instruction at the end of `step`;
+    /// batched ALU runs decrement in bulk and are capped to
     /// `countdown - 1` ([`Simulator::alu_batch_len`]) so the fire point
-    /// always falls on a per-instruction boundary — identically in both
-    /// loops.
+    /// always falls on a per-instruction boundary.
     fn cachescope_tick(&mut self) {
         let fire = match self.cachescope.as_deref_mut() {
             Some(cs) if cs.period != 0 => {
@@ -775,116 +847,31 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// The machine loop shared by every run entry point: step while
-    /// powered, checkpoint on the failure threshold, hibernate until the
-    /// restore threshold, stop on completion, the simulated-time guard,
-    /// or an exhausted watchdog budget ([`StepBudget`]).
+    /// The machine loop: step while powered, checkpoint on the failure
+    /// threshold, hibernate until the restore threshold, stop on
+    /// completion, the simulated-time guard, or an exhausted watchdog
+    /// budget ([`StepBudget`](crate::config::StepBudget)).
     ///
-    /// Two implementations produce bit-identical results (asserted by the
-    /// `tests/fastpath.rs` differentials): the fast-forward loop is the
-    /// default; the reference loop — the naive one-`step()`-per-
-    /// instruction machine — runs under [`ExecMode::Reference`] and
-    /// whenever telemetry is attached (the instrumented sites live there).
+    /// Instructions decode through an incremental [`InstCursor`]. Under
+    /// [`ExecMode::FastForward`], runs of ALU instructions whose fetches
+    /// all land in one MRU uncompressed ICache block are batched
+    /// ([`Simulator::alu_batch_len`] proves no observable boundary —
+    /// power failure, forced fault, budget, sweep region, EDBP scan,
+    /// occupancy snapshot — can fall inside the run, then
+    /// [`Simulator::execute_alu_run`] replays the run's physics exactly);
+    /// everything else goes through [`Simulator::step`]. Telemetry never
+    /// changes the loop. [`ExecMode::Reference`] runs the same loop with
+    /// every skip in [`FastCtx`] turned off; the `tests/fastpath.rs`
+    /// differentials assert the two are bit-identical.
     fn run_loop(&mut self) {
         if self.cfg.step_budget.max_wall.is_some() {
             self.wall_start = Some(std::time::Instant::now());
         }
-        if self.cfg.exec == ExecMode::FastForward && self.telemetry.is_none() {
-            self.run_loop_fast();
-        } else {
-            self.run_loop_reference();
-        }
-    }
-
-    /// The naive machine loop: one [`Simulator::step`] per instruction.
-    fn run_loop_reference(&mut self) {
-        while self.inst_index < self.program.len() {
-            if self.now >= self.cfg.max_sim_time {
-                break;
-            }
-            if self.budget_armed {
-                if let Some(reason) = self.budget_exceeded() {
-                    self.stats.budget_exhausted = Some(reason);
-                    break;
-                }
-            }
-            if !self.running {
-                if !self.hibernate_and_reboot() {
-                    break; // charge timeout
-                }
-                continue;
-            }
-            self.step();
-            if let Some(kind) = self.take_due_fault() {
-                self.power_failure(Some(kind));
-            } else if self.cap.below_checkpoint() {
-                self.power_failure(None);
-            }
-        }
-    }
-
-    /// The fast-forward machine loop. Simulated work is identical to the
-    /// reference loop; host work differs:
-    ///
-    /// * instructions decode through an incremental [`InstCursor`] instead
-    ///   of a per-instruction binary search + hash;
-    /// * runs of ALU instructions whose fetches all land in one MRU
-    ///   uncompressed ICache block are batched ([`Simulator::alu_batch_len`]
-    ///   proves no observable boundary — power failure, forced fault,
-    ///   budget, sweep region, EDBP scan — can fall inside the run, then
-    ///   [`Simulator::execute_alu_run`] replays the run's physics exactly);
-    /// * the per-instruction `below_checkpoint()` square root becomes one
-    ///   f64 compare against a bit-exact precomputed threshold;
-    /// * work that is unobservable without telemetry or under the active
-    ///   governor (shadow tags, oracle credit, voltage samples) is skipped
-    ///   — see [`Simulator::step_fast`].
-    fn run_loop_fast(&mut self) {
         let len = self.program.len();
         if self.inst_index >= len {
             return;
         }
-        let clock_hz = self.cfg.system.core.clock_hz;
-        let dt_table: Vec<SimTime> =
-            (0..=DT_TABLE_CYCLES).map(|c| SimTime::from_seconds(c as f64 / clock_hz)).collect();
-        let dt1 = dt_table[1];
-        let cap_cfg = self.cfg.capacitor;
-        // Worst-case capacitor drop of one batched ALU step: its two
-        // spends plus every standby draw integrated over one cycle, with
-        // leakage taken at the clamp voltage (the capacitor never exceeds
-        // `v_max`, so `P_leak = k·C·V²` never exceeds this).
-        let leak_max = Power::from_watts(
-            cap_cfg.leak_coeff * cap_cfg.capacitance * cap_cfg.v_max * cap_cfg.v_max,
-        ) * dt1;
-        let sram_leak = (self.cfg.system.icache.leakage() + self.cfg.system.dcache.leakage()) * dt1;
-        let mon_leak = self.monitor.standby_power() * dt1;
-        let per_step = self.cfg.system.icache.access_energy
-            + self.cfg.system.core.inst_energy
-            + leak_max
-            + sram_leak
-            + mon_leak;
-        let voltage_sensitive = self.gov.voltage_sensitive();
-        let ctx = FastCtx {
-            i_ways: self.cfg.system.icache.ways,
-            d_ways: self.cfg.system.dcache.ways,
-            block_size: self.cfg.system.dcache.block_size,
-            i_sets: self.cfg.system.icache.num_sets(),
-            i_access: self.cfg.system.icache.access_energy,
-            inst_energy: self.cfg.system.core.inst_energy,
-            clock_hz,
-            dt1,
-            dt_table,
-            cutoff_pj: checkpoint_cutoff_pj(cap_cfg.capacitance, cap_cfg.v_ckpt),
-            // The 2x margin dwarfs any f64 rounding slack in the bound.
-            inv_drop_max: 1.0 / (per_step.picojoules().max(f64::MIN_POSITIVE) * 2.0),
-            half_inv_dt1: 0.5 / dt1.seconds(),
-            track_oracle: self.gov.is_recorder(),
-            voltage_sensitive,
-            batching: !voltage_sensitive && self.cfg.step_budget.max_wall.is_none(),
-            max_executed: self.cfg.step_budget.max_executed_insts,
-            sram_leak: (!matches!(self.cfg.extension, Extension::Edbp { .. }))
-                .then(|| self.cfg.system.icache.leakage() + self.cfg.system.dcache.leakage()),
-            mon_power: self.monitor.standby_power(),
-        };
+        let ctx = FastCtx::new(self);
         let mut cursor = self.program.cursor(self.inst_index);
         while self.inst_index < len {
             if self.now >= self.cfg.max_sim_time {
@@ -905,33 +892,28 @@ impl<'p> Simulator<'p> {
             if cursor.index() != self.inst_index {
                 cursor.seek(self.inst_index); // SweepCache rollback
             }
-            if ctx.batching {
-                let k = self.alu_batch_len(&cursor, &ctx);
-                if k >= 1 {
-                    self.execute_alu_run(cursor.pc(), k, &ctx);
-                    cursor.advance(k);
-                    // The run's last instruction ends exactly like a
-                    // stepped one: region-boundary sweep, then the
-                    // failure checks.
-                    if self.cfg.design == EhsDesign::SweepCache
-                        && self.inst_index - self.last_persist >= self.sweep_region_live
-                    {
-                        self.sweep();
-                    }
-                    if let Some(kind) = self.take_due_fault() {
-                        self.power_failure(Some(kind));
-                    } else if self.cap.stored().picojoules() < ctx.cutoff_pj {
-                        self.power_failure(None);
-                    }
-                    continue;
-                }
+            let batch = if ctx.batching { self.alu_batch_len(&cursor, &ctx) } else { 0 };
+            if batch > 0 {
+                self.execute_alu_run(cursor.pc(), batch, &ctx);
+                cursor.advance(batch);
+            } else {
+                self.step(&mut cursor, &ctx);
             }
-            self.step_fast(&mut cursor, &ctx);
             if let Some(kind) = self.take_due_fault() {
                 self.power_failure(Some(kind));
-            } else if self.cap.stored().picojoules() < ctx.cutoff_pj {
+            } else if self.below_checkpoint(&ctx) {
                 self.power_failure(None);
             }
+        }
+    }
+
+    /// The capacitor has fallen below the checkpoint threshold: one f64
+    /// compare against the bit-exact precomputed cutoff, or the
+    /// capacitor's own square-root test under Reference.
+    fn below_checkpoint(&self, ctx: &FastCtx) -> bool {
+        match ctx.cutoff_pj {
+            Some(cutoff) => self.cap.stored().picojoules() < cutoff,
+            None => self.cap.below_checkpoint(),
         }
     }
 
@@ -954,7 +936,7 @@ impl<'p> Simulator<'p> {
     ///
     /// `k == 1` is worthwhile too: a lone ALU instruction satisfying the
     /// proof skips the full ICache read (LRU rank, `HitInfo`, governor
-    /// callback) that `step_fast` would pay — every obligation above is
+    /// callback) that `step` would pay — every obligation above is
     /// per-instruction, so nothing about it assumes `k >= 2`.
     fn alu_batch_len(&self, cursor: &InstCursor<'_>, ctx: &FastCtx) -> u64 {
         let run = cursor.alu_run_len();
@@ -981,7 +963,10 @@ impl<'p> Simulator<'p> {
         // rounding versus a true division.
         let head_s = (self.cfg.max_sim_time - self.now).seconds();
         k = k.min((head_s * ctx.half_inv_dt1) as u64);
-        let headroom_pj = self.cap.stored().picojoules() - ctx.cutoff_pj;
+        let Some(cutoff_pj) = ctx.cutoff_pj else {
+            return 0; // Reference never batches
+        };
+        let headroom_pj = self.cap.stored().picojoules() - cutoff_pj;
         if headroom_pj <= 0.0 {
             return 0;
         }
@@ -1007,14 +992,21 @@ impl<'p> Simulator<'p> {
     ///
     /// The cache effect collapses to one call (`k` rank-0 read hits); the
     /// physics — two spends and a harvest integration per instruction —
-    /// replay through the same `spend`/`advance` as the reference loop,
-    /// in the same order, so every f64 accumulator rounds identically.
+    /// replay through the same `spend`/`advance` as `step`, in the same
+    /// order, so every f64 accumulator rounds identically. The run's last
+    /// instruction ends exactly like a stepped one: region-boundary sweep,
+    /// then (in the loop) the failure checks.
     fn execute_alu_run(&mut self, pc: Address, k: u64, ctx: &FastCtx) {
         self.icache.commit_read_hit_run(pc, k);
+        if self.telemetry.is_some() {
+            // Every fetch of the run hits this one block; crediting the
+            // hit is idempotent, so once stands for all `k`.
+            self.flight.on_hit(pc.block_index(ctx.block_size), false);
+        }
         for _ in 0..k {
             self.spend(EnergyCategory::CacheOther, ctx.i_access);
             self.spend(EnergyCategory::Other, ctx.inst_energy);
-            self.advance_fast(ctx.dt1, ctx);
+            self.advance(ctx.dt1, ctx);
         }
         self.cycle.insts += k;
         self.cycle.cycles += k;
@@ -1032,6 +1024,17 @@ impl<'p> Simulator<'p> {
                 // Never reaches 0 inside the run: k <= countdown - 1.
                 cs.snap_countdown -= k;
             }
+        }
+        self.sweep_if_due();
+    }
+
+    /// SweepCache: persists at a region boundary once the live region
+    /// size has been committed since the last one.
+    fn sweep_if_due(&mut self) {
+        if self.cfg.design == EhsDesign::SweepCache
+            && self.inst_index - self.last_persist >= self.sweep_region_live
+        {
+            self.sweep();
         }
     }
 
@@ -1067,12 +1070,13 @@ impl<'p> Simulator<'p> {
         None
     }
 
-    fn finish(mut self) -> SimStats {
+    /// Closes the run's statistics.
+    fn finish(&mut self) {
         // Close and audit the final (partial) cycle's ledger row — flows
-        // since the last boundary must balance too. Instrumented entry
-        // points detach telemetry before finishing, so a violation here
-        // only ticks the counter (no FlightRecord is emitted for the
-        // partial cycle: it has no power-failure boundary).
+        // since the last boundary must balance too. `execute` detaches
+        // telemetry before finishing, so a violation here only ticks the
+        // counter (no FlightRecord is emitted for the partial cycle: it
+        // has no power-failure boundary).
         let row = self.close_ledger_row();
         self.audit_ledger(&row);
         if self.cycle.insts > 0 {
@@ -1082,7 +1086,7 @@ impl<'p> Simulator<'p> {
             self.cycles_done += 1;
         }
         self.stats.power_cycle_count = self.cycles_done;
-        if let Governor::Kagura(k) = &self.gov {
+        if let Some(k) = self.gov.as_kagura() {
             self.stats.kagura_state = Some((k.registers(), k.rm_entries()));
         }
         self.stats.completed = self.inst_index >= self.program.len();
@@ -1092,7 +1096,6 @@ impl<'p> Simulator<'p> {
         self.stats.dcache = self.dcache.stats();
         self.stats.nvm = self.nvm.stats();
         self.stats.breakdown = self.breakdown;
-        self.stats
     }
 
     /// Spends `amount` from the capacitor and books it to `category`.
@@ -1145,61 +1148,39 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Advances simulated time by `dt`, integrating harvest and standby
-    /// draws.
-    fn advance(&mut self, dt: SimTime) {
-        let harvest = self.trace.power_at(self.now);
-        let before = self.cap.stored();
-        let cap_leak = self.cap.charge(harvest, dt);
-        let gained = (self.cap.stored() - before + cap_leak).clamp_non_negative();
-        self.stats.harvested += gained;
-        self.stats.cap_leak += cap_leak;
-        self.breakdown.record(EnergyCategory::Other, cap_leak);
-        // SRAM and monitor standby draw while powered (running only; the
-        // monitor also draws while hibernating, handled in the charge loop).
-        if self.running {
-            // EDBP power-gates decayed lines: leakage scales with the live
-            // fraction of each array (cache-decay's headline saving).
-            let dcache_scale = if matches!(self.cfg.extension, Extension::Edbp { .. }) {
-                let total =
-                    (self.cfg.system.dcache.size_bytes / self.cfg.system.dcache.block_size) as f64;
-                (self.dcache.resident_count() as f64 / total).min(1.0)
-            } else {
-                1.0
-            };
-            let cache_leak = (self.cfg.system.icache.leakage()
-                + self.cfg.system.dcache.leakage() * dcache_scale)
-                * dt;
-            self.spend(EnergyCategory::CacheOther, cache_leak);
-            let mon = self.monitor.standby_power() * dt;
-            self.spend(EnergyCategory::Other, mon);
-        }
-        self.now += dt;
-    }
-
-    /// [`Simulator::advance`] with the loop-invariant standby powers
-    /// hoisted into [`FastCtx`]. Bit-exact: the fast path only calls this
-    /// while `running` is true, `icache.leakage()` / `dcache.leakage()`
-    /// are pure functions of the immutable config, and without EDBP the
-    /// reference computes `(i_leak + d_leak * 1.0) * dt` — multiplying by
-    /// `1.0` is an IEEE identity, so the precomputed `i_leak + d_leak`
-    /// times `dt` rounds identically. Under EDBP (`sram_leak == None`,
-    /// leakage scales with the live line fraction) it falls back to the
-    /// full recomputation.
-    fn advance_fast(&mut self, dt: SimTime, ctx: &FastCtx) {
-        let Some(sram_leak) = ctx.sram_leak else {
-            return self.advance(dt);
-        };
-        let harvest = self.trace.power_at(self.now);
-        let before = self.cap.stored();
-        let cap_leak = self.cap.charge(harvest, dt);
-        let gained = (self.cap.stored() - before + cap_leak).clamp_non_negative();
-        self.stats.harvested += gained;
-        self.stats.cap_leak += cap_leak;
-        self.breakdown.record(EnergyCategory::Other, cap_leak);
+    /// Advances simulated time by `dt` while running, integrating harvest
+    /// and the standby draws.
+    ///
+    /// The standby powers are hoisted into [`FastCtx`]: `icache.leakage()`
+    /// and `dcache.leakage()` are pure functions of the immutable config,
+    /// and `(i_leak + d_leak) * dt` is the unscaled form of EDBP's
+    /// `(i_leak + d_leak * scale) * dt` — multiplying by `1.0` is an IEEE
+    /// identity, so both round identically. Under EDBP (`sram_leak ==
+    /// None`) the dcache term scales with the live line fraction
+    /// (cache-decay power-gates decayed lines) and is recomputed.
+    fn advance(&mut self, dt: SimTime, ctx: &FastCtx) {
+        self.harvest(dt);
+        let sram_leak = ctx.sram_leak.unwrap_or_else(|| {
+            let total =
+                (self.cfg.system.dcache.size_bytes / self.cfg.system.dcache.block_size) as f64;
+            let live = (self.dcache.resident_count() as f64 / total).min(1.0);
+            self.cfg.system.icache.leakage() + self.cfg.system.dcache.leakage() * live
+        });
         self.spend(EnergyCategory::CacheOther, sram_leak * dt);
         self.spend(EnergyCategory::Other, ctx.mon_power * dt);
         self.now += dt;
+    }
+
+    /// Integrates the trace's harvest over `dt` into the capacitor,
+    /// booking the gain and the capacitor's own leakage.
+    fn harvest(&mut self, dt: SimTime) {
+        let harvest = self.trace.power_at(self.now);
+        let before = self.cap.stored();
+        let cap_leak = self.cap.charge(harvest, dt);
+        let gained = (self.cap.stored() - before + cap_leak).clamp_non_negative();
+        self.stats.harvested += gained;
+        self.stats.cap_leak += cap_leak;
+        self.breakdown.record(EnergyCategory::Other, cap_leak);
     }
 
     /// Handles the side effects of a fill: compression energy/latency,
@@ -1216,39 +1197,18 @@ impl<'p> Simulator<'p> {
         if outcome.compressions > 0 || outcome.stored_compressed {
             self.gov.on_fill(outcome.stored_compressed);
         }
-        if !outcome.evicted.is_empty() {
-            self.gov.on_evictions(outcome.evicted.len() as u32);
-        }
         if let Some((t, h)) = self.telemetry.as_mut() {
             let t_us = self.now.micros();
-            let cycle = self.cycles_done;
             if outcome.stored_compressed {
                 t.metrics.inc(h.compressed_fills, 1);
-                t.emit(t_us, cycle, Event::CompressedFill { dcache: is_dcache });
+                t.emit(t_us, self.cycles_done, Event::CompressedFill { dcache: is_dcache });
             } else {
                 t.metrics.inc(h.bypassed_fills, 1);
-                t.emit(t_us, cycle, Event::BypassedFill { dcache: is_dcache });
-            }
-            if !outcome.evicted.is_empty() {
-                t.metrics.inc(h.evictions, outcome.evicted.len() as u64);
-                t.emit(
-                    t_us,
-                    cycle,
-                    Event::Eviction { count: outcome.evicted.len() as u32, dcache: is_dcache },
-                );
+                t.emit(t_us, self.cycles_done, Event::BypassedFill { dcache: is_dcache });
             }
         }
+        self.evict(&outcome.evicted, is_dcache);
         let block_size = self.cfg.system.dcache.block_size;
-        for e in &outcome.evicted {
-            self.forget_fill(e.addr, is_dcache);
-            if e.dirty {
-                if e.was_compressed {
-                    // The cache already counted the decompression op; pay it.
-                    self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
-                }
-                self.writeback(e);
-            }
-        }
         // Oracle attribution for the incoming block.
         if outcome.stored_compressed {
             if self.telemetry.is_some() {
@@ -1275,7 +1235,7 @@ impl<'p> Simulator<'p> {
     }
 
     fn in_rm(&self) -> bool {
-        matches!(&self.gov, Governor::Kagura(k) if k.mode() == Mode::Regular)
+        self.gov.as_kagura().is_some_and(|k| k.mode() == Mode::Regular)
     }
 
     fn forget_fill(&mut self, addr: Address, is_dcache: bool) {
@@ -1299,6 +1259,36 @@ impl<'p> Simulator<'p> {
         }
     }
 
+    /// A fill or a repacking store displaced `evicted`: tell the governor
+    /// and telemetry, then retire each block.
+    fn evict(&mut self, evicted: &[Evicted], is_dcache: bool) {
+        if evicted.is_empty() {
+            return;
+        }
+        self.gov.on_evictions(evicted.len() as u32);
+        if let Some((t, h)) = self.telemetry.as_mut() {
+            t.metrics.inc(h.evictions, evicted.len() as u64);
+            let ev = Event::Eviction { count: evicted.len() as u32, dcache: is_dcache };
+            t.emit(self.now.micros(), self.cycles_done, ev);
+        }
+        for e in evicted {
+            self.retire(e, is_dcache);
+        }
+    }
+
+    /// A block left the cache: drop its oracle attribution and, if dirty,
+    /// write it back (paying the decompression the cache already counted
+    /// for a compressed line).
+    fn retire(&mut self, e: &Evicted, is_dcache: bool) {
+        self.forget_fill(e.addr, is_dcache);
+        if e.dirty {
+            if e.was_compressed {
+                self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
+            }
+            self.writeback(e);
+        }
+    }
+
     /// Writes an evicted dirty block back to NVM (demand traffic).
     fn writeback(&mut self, e: &Evicted) {
         match self.cfg.design {
@@ -1313,66 +1303,43 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// One committed instruction.
-    fn step(&mut self) {
-        let inst = self.program.inst_at(self.inst_index);
+    /// One committed instruction. The skips in `ctx` leave out only work
+    /// that is unobservable for this run (see [`FastCtx`]):
+    ///
+    /// * a shallow uncompressed ICache/DCache hit commits without the full
+    ///   read/write path — no decompression, repack or eviction can
+    ///   follow, and `on_hit` ignores shallow uncompressed hits — unless
+    ///   shadow tags and oracle credit must see every access;
+    /// * the per-instruction voltage sample runs only for policies that
+    ///   consume it.
+    ///
+    /// With telemetry attached the flight tracker still credits every hit
+    /// (shallow commits included: a compressed fill that an un-repacked
+    /// store expanded can later be hit shallowly) and governor events are
+    /// pumped at the end of the step.
+    fn step(&mut self, cursor: &mut InstCursor<'_>, ctx: &FastCtx) {
+        let inst = cursor.next_inst();
         let mut cycles = 1u64; // base CPI of the in-order pipeline
         self.scope_attr(|a| a.tag_cycles += 1);
-        let i_ways = self.cfg.system.icache.ways;
-        let d_ways = self.cfg.system.dcache.ways;
-        let block_size = self.cfg.system.dcache.block_size;
 
         // --- Fetch through the ICache. ---
-        self.spend(EnergyCategory::CacheOther, self.cfg.system.icache.access_energy);
-        let i_sets = self.cfg.system.icache.num_sets();
-        let shadow_hit = self
-            .shadow_i
-            .access(inst.pc.set_index(block_size, i_sets), inst.pc.tag(block_size, i_sets));
-        match self.icache.read(inst.pc) {
-            Some(hit) => {
-                if self.telemetry.is_some() {
-                    self.flight.on_hit(inst.pc.block_index(block_size), false);
-                }
-                if hit.was_compressed {
-                    self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
-                    let stall = self.comp_cost.decompress_latency.get();
-                    cycles += stall;
-                    self.scope_attr(|a| a.decompress_cycles += stall);
-                }
-                if !shadow_hit || hit.lru_rank >= i_ways {
-                    // The uncompressed baseline would have missed here (or
-                    // the block sat beyond the nominal ways): compression
-                    // earned this hit.
-                    self.credit_deep_hit(inst.pc, false);
-                }
-                self.gov.on_hit(&hit, i_ways);
-            }
-            None => {
-                let read = self.nvm.read_block(inst.pc);
-                self.spend(EnergyCategory::Memory, read.energy);
-                let stall = read.latency.get();
-                cycles += stall;
-                self.scope_attr(|a| a.nvm_cycles += stall);
-                let mode = self.gov.fill_mode();
-                let base = inst.pc.block_base(block_size);
-                let out = self.icache.fill(base, read.data, mode, None);
-                self.spend(EnergyCategory::CacheOther, self.cfg.system.icache.access_energy);
-                let fill_stall = self.absorb_fill(&out, base, false);
-                cycles += fill_stall;
-                self.scope_attr(|a| a.writeback_cycles += fill_stall);
-            }
+        self.spend(EnergyCategory::CacheOther, ctx.i_access);
+        if ctx.track_oracle || !self.icache.try_commit_shallow_read(inst.pc) {
+            cycles += self.fetch(inst.pc, ctx);
+        } else if self.telemetry.is_some() {
+            self.flight.on_hit(inst.pc.block_index(ctx.block_size), false);
         }
 
         // --- Execute / data access. ---
         match inst.kind {
             InstKind::Alu => {}
             InstKind::Load { addr } => {
-                cycles += self.data_access(addr, None, d_ways, block_size, true);
+                cycles += self.data_access(addr, None, ctx);
                 self.cycle.loads += 1;
                 self.gov.on_mem_commit();
             }
             InstKind::Store { addr, value } => {
-                cycles += self.data_access(addr, Some(value), d_ways, block_size, true);
+                cycles += self.data_access(addr, Some(value), ctx);
                 self.cycle.stores += 1;
                 self.gov.on_mem_commit();
                 if self.cfg.design == EhsDesign::Nvmr {
@@ -1384,9 +1351,8 @@ impl<'p> Simulator<'p> {
         }
 
         // --- Pipeline energy, time, harvest. ---
-        self.spend(EnergyCategory::Other, self.cfg.system.core.inst_energy);
-        let dt = SimTime::from_seconds(cycles as f64 / self.cfg.system.core.clock_hz);
-        self.advance(dt);
+        self.spend(EnergyCategory::Other, ctx.inst_energy);
+        self.advance(ctx.dt(cycles), ctx);
 
         self.cycle.insts += 1;
         self.cycle.cycles += cycles;
@@ -1395,48 +1361,43 @@ impl<'p> Simulator<'p> {
         self.inst_index += 1;
 
         // --- Voltage sample for voltage-triggered policies. ---
-        self.gov.on_voltage(
-            self.cap.voltage(),
-            self.cfg.capacitor.v_ckpt,
-            self.cfg.capacitor.v_rst,
-        );
+        if ctx.voltage_sensitive {
+            self.gov.on_voltage(
+                self.cap.voltage(),
+                self.cfg.capacitor.v_ckpt,
+                self.cfg.capacitor.v_rst,
+            );
+        }
 
         // --- Extensions and region sweeping. ---
-        match self.cfg.extension {
-            Extension::Edbp { decay_ticks } => {
-                self.edbp_countdown -= 1;
-                if self.edbp_countdown == 0 {
-                    self.edbp_countdown = EDBP_SCAN_PERIOD;
-                    self.edbp_scan(decay_ticks);
-                }
+        if let Extension::Edbp { decay_ticks } = self.cfg.extension {
+            self.edbp_countdown -= 1;
+            if self.edbp_countdown == 0 {
+                self.edbp_countdown = EDBP_SCAN_PERIOD;
+                self.edbp_scan(decay_ticks);
             }
-            Extension::Ipex { .. } | Extension::None => {}
         }
-        if self.cfg.design == EhsDesign::SweepCache
-            && self.inst_index - self.last_persist >= self.sweep_region_live
-        {
-            self.sweep();
-        }
+        self.sweep_if_due();
         self.cachescope_tick();
 
         self.pump_gov_events();
     }
 
-    /// The full ICache fetch path for `step_fast` — taken when the fetch
-    /// is anything but an MRU uncompressed hit under a non-recording
-    /// governor. Returns the extra stall cycles (decompression or fill).
-    fn fetch_slow(&mut self, pc: Address, ctx: &FastCtx) -> u64 {
+    /// The full ICache fetch path — taken when the fetch is not a shallow
+    /// uncompressed hit, or when every access must reach the shadow tags.
+    /// Returns the extra stall cycles (decompression or fill).
+    fn fetch(&mut self, pc: Address, ctx: &FastCtx) -> u64 {
         let mut extra = 0u64;
-        let shadow_hit = if ctx.track_oracle {
-            self.shadow_i.access(
+        let shadow_hit = ctx.track_oracle
+            && self.shadow_i.access(
                 pc.set_index(ctx.block_size, ctx.i_sets),
                 pc.tag(ctx.block_size, ctx.i_sets),
-            )
-        } else {
-            true
-        };
+            );
         match self.icache.read(pc) {
             Some(hit) => {
+                if self.telemetry.is_some() {
+                    self.flight.on_hit(pc.block_index(ctx.block_size), false);
+                }
                 if hit.was_compressed {
                     self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
                     let stall = self.comp_cost.decompress_latency.get();
@@ -1444,6 +1405,9 @@ impl<'p> Simulator<'p> {
                     self.scope_attr(|a| a.decompress_cycles += stall);
                 }
                 if ctx.track_oracle && (!shadow_hit || hit.lru_rank >= ctx.i_ways) {
+                    // The uncompressed baseline would have missed here (or
+                    // the block sat beyond the nominal ways): compression
+                    // earned this hit.
                     self.credit_deep_hit(pc, false);
                 }
                 self.gov.on_hit(&hit, ctx.i_ways);
@@ -1466,101 +1430,6 @@ impl<'p> Simulator<'p> {
         extra
     }
 
-    /// One committed instruction on the fast path. The simulated work is
-    /// identical to [`Simulator::step`]; the host work drops everything
-    /// unobservable in a detached-telemetry run under the active governor:
-    ///
-    /// * no flight-recorder or event-pump probes (telemetry is `None` by
-    ///   construction of [`Simulator::run_loop`]);
-    /// * shadow tags and oracle deep-hit credit only for recording
-    ///   governors — for all others `credit_deep_hit` walks maps that are
-    ///   provably empty (`record_fill` returns `None`, so nothing is ever
-    ///   inserted) and `mark_useful` is a no-op;
-    /// * the per-instruction voltage sample only for voltage-sensitive
-    ///   policies — for all others `on_voltage` is a no-op;
-    /// * the instruction decodes through the incremental cursor and `dt`
-    ///   comes from a table precomputed with the identical expression.
-    fn step_fast(&mut self, cursor: &mut InstCursor<'_>, ctx: &FastCtx) {
-        let inst = cursor.next_inst();
-        let mut cycles = 1u64; // base CPI of the in-order pipeline
-        self.scope_attr(|a| a.tag_cycles += 1);
-
-        // --- Fetch through the ICache. ---
-        self.spend(EnergyCategory::CacheOther, ctx.i_access);
-        // A shallow uncompressed fetch hit (the common case: straight-line
-        // code re-fetching its own block) needs none of the full read
-        // path — no decompression, `on_hit` ignores shallow uncompressed
-        // hits, and without a recording governor there are no shadow tags
-        // or deep-hit credit to maintain.
-        if ctx.track_oracle || !self.icache.try_commit_shallow_read(inst.pc) {
-            cycles += self.fetch_slow(inst.pc, ctx);
-        }
-
-        // --- Execute / data access. ---
-        match inst.kind {
-            InstKind::Alu => {}
-            InstKind::Load { addr } => {
-                cycles +=
-                    self.data_access(addr, None, ctx.d_ways, ctx.block_size, ctx.track_oracle);
-                self.cycle.loads += 1;
-                self.gov.on_mem_commit();
-            }
-            InstKind::Store { addr, value } => {
-                cycles += self.data_access(
-                    addr,
-                    Some(value),
-                    ctx.d_ways,
-                    ctx.block_size,
-                    ctx.track_oracle,
-                );
-                self.cycle.stores += 1;
-                self.gov.on_mem_commit();
-                if self.cfg.design == EhsDesign::Nvmr {
-                    // Renaming buffer persists the store incrementally.
-                    let e = self.cfg.system.nvm.write_energy * self.cfg.costs.nvmr_store_factor;
-                    self.spend(EnergyCategory::Memory, e);
-                }
-            }
-        }
-
-        // --- Pipeline energy, time, harvest. ---
-        self.spend(EnergyCategory::Other, ctx.inst_energy);
-        self.advance_fast(ctx.dt(cycles), ctx);
-
-        self.cycle.insts += 1;
-        self.cycle.cycles += cycles;
-        self.stats.total_cycles += cycles;
-        self.stats.executed_insts += 1;
-        self.inst_index += 1;
-
-        // --- Voltage sample for voltage-triggered policies. ---
-        if ctx.voltage_sensitive {
-            self.gov.on_voltage(
-                self.cap.voltage(),
-                self.cfg.capacitor.v_ckpt,
-                self.cfg.capacitor.v_rst,
-            );
-        }
-
-        // --- Extensions and region sweeping. ---
-        match self.cfg.extension {
-            Extension::Edbp { decay_ticks } => {
-                self.edbp_countdown -= 1;
-                if self.edbp_countdown == 0 {
-                    self.edbp_countdown = EDBP_SCAN_PERIOD;
-                    self.edbp_scan(decay_ticks);
-                }
-            }
-            Extension::Ipex { .. } | Extension::None => {}
-        }
-        if self.cfg.design == EhsDesign::SweepCache
-            && self.inst_index - self.last_persist >= self.sweep_region_live
-        {
-            self.sweep();
-        }
-        self.cachescope_tick();
-    }
-
     /// Stamps and forwards any controller events the governor logged
     /// during the work just performed (mode switches fire inside
     /// `on_mem_commit`/`on_voltage`, mid-step). One untaken branch when
@@ -1577,44 +1446,36 @@ impl<'p> Simulator<'p> {
     }
 
     /// A load or store through the DCache; returns extra stall cycles.
-    ///
-    /// `track_shadow` gates the shadow-directory access and the oracle
-    /// deep-hit credit; the fast path passes `false` for non-recording
-    /// governors, where both are provably unobservable.
-    fn data_access(
-        &mut self,
-        addr: Address,
-        store: Option<u32>,
-        d_ways: u32,
-        block_size: u32,
-        track_shadow: bool,
-    ) -> u64 {
+    fn data_access(&mut self, addr: Address, store: Option<u32>, ctx: &FastCtx) -> u64 {
+        let block_size = ctx.block_size;
         let mut cycles = self.cfg.system.dcache.hit_latency.get();
         self.scope_attr(|a| a.tag_cycles += cycles);
         self.spend(EnergyCategory::CacheOther, self.cfg.system.dcache.access_energy);
-        // Fast path: an access hitting a *shallow uncompressed* line (one
-        // an uncompressed cache would also serve) with shadow tracking off
-        // and telemetry detached reduces to the LRU stamp, the hit
-        // counter, and (for stores) the word write + dirty bit. Bit-exact
-        // versus the full path below: `read()`/`write()` on such a line do
-        // exactly the commit's state changes, and every consumer of the
-        // `HitInfo` is provably inert — `on_hit` only reacts to deep or
-        // compressed hits, and there is no decompression, repack,
-        // eviction, or deep-hit credit.
-        if !track_shadow && self.telemetry.is_none() {
+        // Shallow commit: an access hitting a *shallow uncompressed* line
+        // (one an uncompressed cache would also serve) with shadow
+        // tracking off reduces to the LRU stamp, the hit counter, and (for
+        // stores) the word write + dirty bit. Bit-exact versus the full
+        // path below: `read()`/`write()` on such a line do exactly the
+        // commit's state changes, and every consumer of the `HitInfo` is
+        // provably inert — `on_hit` only reacts to deep or compressed
+        // hits, and there is no decompression, repack, eviction, or
+        // deep-hit credit. The flight tracker's hit credit is the one
+        // observer left.
+        if !ctx.track_oracle {
             let fast = match store {
                 None => self.dcache.try_commit_shallow_read(addr),
                 Some(v) => self.dcache.try_commit_shallow_write(addr, v),
             };
             if fast {
+                if self.telemetry.is_some() {
+                    self.flight.on_hit(addr.block_index(block_size), true);
+                }
                 return cycles;
             }
         }
-        let shadow_hit = if track_shadow {
+        let shadow_hit = ctx.track_oracle && {
             let d_sets = self.cfg.system.dcache.num_sets();
             self.shadow_d.access(addr.set_index(block_size, d_sets), addr.tag(block_size, d_sets))
-        } else {
-            true
         };
 
         let repack = self.gov.compression_enabled();
@@ -1645,33 +1506,11 @@ impl<'p> Simulator<'p> {
                         self.forget_fill(addr.block_base(block_size), true);
                     }
                 }
-                if track_shadow && (!shadow_hit || info.lru_rank >= d_ways) {
+                if ctx.track_oracle && (!shadow_hit || info.lru_rank >= ctx.d_ways) {
                     self.credit_deep_hit(addr, true);
                 }
-                self.gov.on_hit(&info, d_ways);
-                if !evicted.is_empty() {
-                    self.gov.on_evictions(evicted.len() as u32);
-                    if let Some((t, h)) = self.telemetry.as_mut() {
-                        t.metrics.inc(h.evictions, evicted.len() as u64);
-                        t.emit(
-                            self.now.micros(),
-                            self.cycles_done,
-                            Event::Eviction { count: evicted.len() as u32, dcache: true },
-                        );
-                    }
-                    for e in &evicted {
-                        self.forget_fill(e.addr, true);
-                        if e.dirty {
-                            if e.was_compressed {
-                                self.spend(
-                                    EnergyCategory::Decompress,
-                                    self.comp_cost.decompress_energy,
-                                );
-                            }
-                            self.writeback(e);
-                        }
-                    }
-                }
+                self.gov.on_hit(&info, ctx.d_ways);
+                self.evict(&evicted, true);
             }
             None => {
                 // Miss: fetch from NVM, write-allocate with pending store.
@@ -1744,13 +1583,7 @@ impl<'p> Simulator<'p> {
             .collect();
         for addr in dead {
             if let Some(e) = self.dcache.invalidate_block(addr) {
-                self.forget_fill(e.addr, true);
-                if e.dirty {
-                    if e.was_compressed {
-                        self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
-                    }
-                    self.writeback(&e);
-                }
+                self.retire(&e, true);
             }
         }
     }
@@ -1899,7 +1732,7 @@ impl<'p> Simulator<'p> {
         self.shadow_d.clear();
         // Kagura's registers and mode must be read before the governor's
         // own failure handling rolls them into the next cycle.
-        let kagura = self.gov.kagura_snapshot();
+        let kagura = self.gov.as_kagura().map(|k| (k.registers(), k.mode()));
         self.gov.on_power_failure();
         self.stats.decode_faults += decode_faults as u64;
         // All of the cycle's energy is spent by this point: close and
@@ -1987,13 +1820,7 @@ impl<'p> Simulator<'p> {
                     return false;
                 }
             }
-            let harvest = self.trace.power_at(self.now);
-            let before = self.cap.stored();
-            let cap_leak = self.cap.charge(harvest, CHARGE_STEP);
-            let gained = (self.cap.stored() - before + cap_leak).clamp_non_negative();
-            self.stats.harvested += gained;
-            self.stats.cap_leak += cap_leak;
-            self.breakdown.record(EnergyCategory::Other, cap_leak);
+            self.harvest(CHARGE_STEP);
             // The monitor keeps watching the capacitor while hibernating.
             let mon = self.monitor.standby_power() * CHARGE_STEP;
             self.cap.drain(mon);
@@ -2026,7 +1853,7 @@ impl<'p> Simulator<'p> {
 mod tests {
     use super::*;
     use crate::config::GovernorSpec;
-    use ehs_energy::TraceKind;
+    use ehs_energy::{CapacitorConfig, TraceKind};
     use ehs_workloads::App;
 
     fn run_small(app: App, governor: GovernorSpec) -> SimStats {
@@ -2045,15 +1872,17 @@ mod tests {
         let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 400_000);
         let mut sink = NullSink;
         let mut sim = Simulator::new(cfg, &program, &trace);
-        sim.attach_telemetry(&mut sink);
-        sim.attach_cachescope(CachescopeConfig::default());
-        sim.run_loop();
-        let (t, _) = sim.telemetry.take().expect("telemetry attached");
-        let mut metrics = t.into_metrics();
-        let report = sim.take_cachescope_report();
-        assert!(sim.stats.power_cycles.len() >= 2, "run too short to cross a boundary");
+        sim.attach(Attach {
+            telemetry: Some(&mut sink),
+            cachescope: Some(CachescopeConfig::default()),
+            ..Attach::default()
+        });
+        let out = sim.execute();
+        let mut metrics = out.metrics.expect("telemetry attached");
+        let report = out.cachescope.expect("cachescope attached");
+        assert!(out.stats.checkpoints >= 2, "run too short to cross a boundary");
         // One row per power-cycle boundary plus the end-of-run row.
-        assert_eq!(report.cycles.len(), sim.stats.power_cycles.len() + 1);
+        assert_eq!(report.cycles.len() as u64, out.stats.checkpoints + 1);
         // Mirrored gauges hold the last boundary's cumulative values
         // (`gauge` is get-or-register by name, so this finds the existing
         // ids; a fresh registration would read 0.0 and fail below).
@@ -2064,6 +1893,29 @@ mod tests {
         for name in ["cachescope_tag_cycles", "cachescope_nvm_cycles"] {
             let g = metrics.gauge(name);
             assert!(metrics.gauge_value(g) > 0.0, "gauge {name} never mirrored");
+        }
+    }
+
+    #[test]
+    fn checkpoint_cutoff_matches_below_checkpoint_bit_for_bit() {
+        // Table I and every capacitor the sensitivity experiments sweep
+        // (Fig 29, Table III); no experiment sweeps `v_ckpt`.
+        let swept = [0.47, 1.0, 4.7, 10.0, 100.0, 1000.0].map(CapacitorConfig::with_capacitance_uf);
+        for cfg in std::iter::once(SimConfig::table1().capacitor).chain(swept) {
+            let cutoff = checkpoint_cutoff_pj(cfg.capacitance, cfg.v_ckpt);
+            assert!(cutoff.is_finite() && cutoff > 0.0, "cutoff {cutoff}");
+            let mut cap = Capacitor::new(cfg);
+            let bits = cutoff.to_bits();
+            for pj in [f64::from_bits(bits - 1), cutoff, f64::from_bits(bits + 1)] {
+                cap.set_stored(Energy::from_picojoules(pj));
+                assert_eq!(
+                    pj < cutoff,
+                    cap.below_checkpoint(),
+                    "C = {} F, v_ckpt = {} V, stored = {pj:e} pJ",
+                    cfg.capacitance,
+                    cfg.v_ckpt
+                );
+            }
         }
     }
 

@@ -4,13 +4,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ehs_energy::{PowerTrace, TraceKind};
-use ehs_telemetry::{MetricsRegistry, Sink};
 use ehs_workloads::{App, KernelProgram};
 
-use crate::cachescope::{CachescopeConfig, CachescopeReport};
 use crate::config::{ConfigError, GovernorSpec, SimConfig};
 use crate::governor::Governor;
-use crate::machine::Simulator;
+use crate::machine::{Attach, RunOutput, Simulator};
 use crate::stats::SimStats;
 use kagura_core::CompressionGovernor as _;
 
@@ -84,16 +82,7 @@ pub fn default_trace(cfg: &SimConfig) -> Arc<PowerTrace> {
 ///
 /// Ideal (two-phase) governor specs are decomposed automatically.
 pub fn run_program(program: &KernelProgram, trace: &PowerTrace, cfg: &SimConfig) -> SimStats {
-    match cfg.governor {
-        // Spec-derived recorders always match their own spec.
-        GovernorSpec::IdealAcc => run_ideal(program, trace, cfg, Governor::record_acc())
-            .expect("spec-derived recorder validates"),
-        GovernorSpec::IdealAccKagura(kcfg) => {
-            run_ideal(program, trace, cfg, Governor::record_kagura(kcfg))
-                .expect("spec-derived recorder validates")
-        }
-        _ => Simulator::new(cfg.clone(), program, trace).run(),
-    }
+    run_program_with(program, trace, cfg, Attach::default()).stats
 }
 
 /// Runs `app` at workload `scale` under `cfg` with the config's default
@@ -108,141 +97,44 @@ pub fn run_app(app: App, scale: f64, cfg: &SimConfig) -> SimStats {
     run_program(&program, &trace, cfg)
 }
 
-/// Like [`run_program`] but with an event sink attached for the whole
-/// run; returns the metrics registry accumulated alongside the stats.
+/// Runs `program` under `cfg` with `attach` applied and returns
+/// everything the run produced. The stats are identical to
+/// [`run_program`]'s whatever is attached.
 ///
-/// Ideal (two-phase) specs instrument only the replay phase — the
-/// recording pass is oracle scaffolding, not the behavior under study.
-pub fn run_program_with_telemetry(
-    program: &KernelProgram,
-    trace: &PowerTrace,
+/// Ideal (two-phase) specs are decomposed automatically, and the
+/// attachments apply to the replay phase only: the recording pass is
+/// oracle scaffolding, not the behavior under study.
+pub fn run_program_with<'p>(
+    program: &'p KernelProgram,
+    trace: &'p PowerTrace,
     cfg: &SimConfig,
-    sink: &mut dyn Sink,
-) -> (SimStats, MetricsRegistry) {
-    match cfg.governor {
-        GovernorSpec::IdealAcc => {
-            run_ideal_telemetry(program, trace, cfg, Governor::record_acc(), Some(sink))
-                .expect("spec-derived recorder validates")
-        }
-        GovernorSpec::IdealAccKagura(kcfg) => {
-            run_ideal_telemetry(program, trace, cfg, Governor::record_kagura(kcfg), Some(sink))
-                .expect("spec-derived recorder validates")
-        }
-        _ => {
-            let mut sim = Simulator::new(cfg.clone(), program, trace);
-            sim.attach_telemetry(sink);
-            sim.run_instrumented()
-        }
-    }
-}
-
-/// Like [`run_program`] but with a cachescope attached; returns the
-/// cache-microarchitecture report alongside the stats. The fast-forward
-/// loop stays engaged (cachescope is not telemetry) and the stats are
-/// byte-identical to an unscoped run.
-///
-/// Ideal (two-phase) specs scope only the replay phase — the recording
-/// pass is oracle scaffolding, not the behavior under study.
-pub fn run_program_with_cachescope(
-    program: &KernelProgram,
-    trace: &PowerTrace,
-    cfg: &SimConfig,
-    scope: CachescopeConfig,
-) -> (SimStats, CachescopeReport) {
-    let scoped = |gov: Option<Governor>| {
-        let mut sim = match gov {
-            Some(g) => Simulator::with_governor(cfg.clone(), program, trace, g),
-            None => Simulator::new(cfg.clone(), program, trace),
-        };
-        sim.attach_cachescope(scope);
-        sim.run_with_cachescope()
+    attach: Attach<'p>,
+) -> RunOutput {
+    let recorder = match cfg.governor {
+        GovernorSpec::IdealAcc => Some(Governor::record_acc()),
+        GovernorSpec::IdealAccKagura(kcfg) => Some(Governor::record_kagura(kcfg)),
+        _ => None,
     };
-    match cfg.governor {
-        GovernorSpec::IdealAcc => {
-            let (_, oracle) =
-                Simulator::with_governor(cfg.clone(), program, trace, Governor::record_acc())
-                    .run_recording();
-            scoped(Some(Governor::replay_acc(oracle)))
-        }
-        GovernorSpec::IdealAccKagura(kcfg) => {
-            let (_, oracle) = Simulator::with_governor(
-                cfg.clone(),
-                program,
-                trace,
-                Governor::record_kagura(kcfg),
-            )
-            .run_recording();
-            scoped(Some(Governor::replay_kagura(kcfg, oracle)))
-        }
-        _ => scoped(None),
-    }
+    // Spec-derived recorders always match their own spec.
+    let replayer = recorder
+        .map(|r| ideal_replayer(program, trace, cfg, r).expect("spec-derived recorder validates"));
+    run_attached(program, trace, cfg, replayer, attach)
 }
 
-/// Like [`run_program`] but with a leakscope access timeline attached to
-/// the data cache; returns the per-access timeline alongside the stats.
-/// The fast-forward loop stays engaged (the probe is event-driven) and
-/// the stats are byte-identical to an unprobed run.
-///
-/// Ideal (two-phase) specs record the timeline only over the replay
-/// phase, mirroring [`run_program_with_cachescope`].
-pub fn run_program_with_leak_timeline(
-    program: &KernelProgram,
-    trace: &PowerTrace,
+/// One run under `gov`, or under the spec's own governor when `None`.
+fn run_attached<'p>(
+    program: &'p KernelProgram,
+    trace: &'p PowerTrace,
     cfg: &SimConfig,
-    capacity: usize,
-) -> (SimStats, ehs_cache::AccessTimeline) {
-    let probed = |gov: Option<Governor>| {
-        let mut sim = match gov {
-            Some(g) => Simulator::with_governor(cfg.clone(), program, trace, g),
-            None => Simulator::new(cfg.clone(), program, trace),
-        };
-        sim.attach_leak_timeline(capacity);
-        sim.run_with_leak_timeline()
+    gov: Option<Governor>,
+    attach: Attach<'p>,
+) -> RunOutput {
+    let mut sim = match gov {
+        Some(g) => Simulator::with_governor(cfg.clone(), program, trace, g),
+        None => Simulator::new(cfg.clone(), program, trace),
     };
-    match cfg.governor {
-        GovernorSpec::IdealAcc => {
-            let (_, oracle) =
-                Simulator::with_governor(cfg.clone(), program, trace, Governor::record_acc())
-                    .run_recording();
-            probed(Some(Governor::replay_acc(oracle)))
-        }
-        GovernorSpec::IdealAccKagura(kcfg) => {
-            let (_, oracle) = Simulator::with_governor(
-                cfg.clone(),
-                program,
-                trace,
-                Governor::record_kagura(kcfg),
-            )
-            .run_recording();
-            probed(Some(Governor::replay_kagura(kcfg, oracle)))
-        }
-        _ => probed(None),
-    }
-}
-
-/// Like [`run_app`] but with a cachescope attached; see
-/// [`run_program_with_cachescope`].
-pub fn run_app_with_cachescope(
-    app: App,
-    scale: f64,
-    cfg: &SimConfig,
-    scope: CachescopeConfig,
-) -> (SimStats, CachescopeReport) {
-    let program = app.build(scale);
-    let trace = default_trace(cfg);
-    run_program_with_cachescope(&program, &trace, cfg, scope)
-}
-
-/// Like [`run_app`] but instrumented; see [`run_program_with_telemetry`].
-pub fn run_app_with_telemetry(
-    app: App,
-    scale: f64,
-    cfg: &SimConfig,
-    sink: &mut dyn Sink,
-) -> (SimStats, MetricsRegistry) {
-    let program = app.build(scale);
-    let trace = default_trace(cfg);
-    run_program_with_telemetry(&program, &trace, cfg, sink)
+    sim.attach(attach);
+    sim.execute()
 }
 
 /// Explicit two-phase ideal run (paper Fig 13's "ideal" methodology):
@@ -260,7 +152,8 @@ pub fn run_ideal_app(
 ) -> Result<SimStats, ConfigError> {
     let program = app.build(scale);
     let trace = default_trace(cfg);
-    run_ideal(&program, &trace, cfg, recorder)
+    let replayer = ideal_replayer(&program, &trace, cfg, recorder)?;
+    Ok(run_attached(&program, &trace, cfg, Some(replayer), Attach::default()).stats)
 }
 
 /// Rejects recorder/spec combinations the replay phase cannot honor.
@@ -282,43 +175,29 @@ fn validate_recorder(recorder: &Governor, spec: &GovernorSpec) -> Result<(), Con
     Ok(())
 }
 
-fn run_ideal(
+/// Phase 1 of the ideal methodology: runs `recorder` and returns the
+/// phase-2 governor that replays its oracle trace.
+fn ideal_replayer(
     program: &KernelProgram,
     trace: &PowerTrace,
     cfg: &SimConfig,
     recorder: Governor,
-) -> Result<SimStats, ConfigError> {
-    run_ideal_telemetry(program, trace, cfg, recorder, None).map(|(stats, _)| stats)
-}
-
-fn run_ideal_telemetry(
-    program: &KernelProgram,
-    trace: &PowerTrace,
-    cfg: &SimConfig,
-    recorder: Governor,
-    sink: Option<&mut dyn Sink>,
-) -> Result<(SimStats, MetricsRegistry), ConfigError> {
+) -> Result<Governor, ConfigError> {
     validate_recorder(&recorder, &cfg.governor)?;
     let is_kagura = matches!(recorder, Governor::RecordKagura(_));
-    let (_, oracle_trace) =
-        Simulator::with_governor(cfg.clone(), program, trace, recorder).run_recording();
-    let replayer = if is_kagura {
+    let oracle = Simulator::with_governor(cfg.clone(), program, trace, recorder)
+        .execute()
+        .oracle
+        .expect("a validated recorder yields an oracle trace");
+    Ok(if is_kagura {
         let kcfg = match cfg.governor {
             GovernorSpec::IdealAccKagura(k) | GovernorSpec::AccKagura(k) => k,
             // validate_recorder rejected every other spec before the run.
             _ => unreachable!("validate_recorder admits only Kagura-carrying specs"),
         };
-        Governor::replay_kagura(kcfg, oracle_trace)
+        Governor::replay_kagura(kcfg, oracle)
     } else {
-        Governor::replay_acc(oracle_trace)
-    };
-    let mut sim = Simulator::with_governor(cfg.clone(), program, trace, replayer);
-    Ok(match sink {
-        Some(sink) => {
-            sim.attach_telemetry(sink);
-            sim.run_instrumented()
-        }
-        None => (sim.run(), MetricsRegistry::default()),
+        Governor::replay_acc(oracle)
     })
 }
 
@@ -348,6 +227,10 @@ mod tests {
             SimConfig::table1().with_governor(GovernorSpec::IdealAccKagura(Default::default()));
         let stats = run_app(App::Gsm, 0.02, &cfg);
         assert!(stats.completed);
+        // The replay phase drives a live Kagura: its RM-averted fills and
+        // final register state reach the stats like the deployed policy's.
+        assert!(stats.rm_bypassed_fills > 0, "no RM-bypassed fills reported");
+        assert!(stats.kagura_state.is_some(), "no Kagura register state reported");
     }
 
     #[test]
@@ -362,9 +245,12 @@ mod tests {
             let cfg = SimConfig::table1().with_governor(gov);
             let plain = run_app(App::Sha, 0.01, &cfg);
             let mut sink = NullSink;
-            let (stats, _) = run_app_with_telemetry(App::Sha, 0.01, &cfg, &mut sink);
-            assert_eq!(stats.sim_time, plain.sim_time, "{gov:?}");
-            assert_eq!(stats.compression_ops(), plain.compression_ops(), "{gov:?}");
+            let program = App::Sha.build(0.01);
+            let trace = default_trace(&cfg);
+            let attach = Attach { telemetry: Some(&mut sink), ..Attach::default() };
+            let out = run_program_with(&program, &trace, &cfg, attach);
+            assert_eq!(out.stats, plain, "{gov:?}");
+            assert!(out.metrics.is_some(), "{gov:?}");
         }
     }
 

@@ -1,9 +1,10 @@
-//! Fast-forward loop certification: the event-driven fast path
-//! ([`ExecMode::FastForward`], the default) must be *bit-identical* to
-//! the naive one-`step()`-per-instruction reference loop
-//! ([`ExecMode::Reference`]) — same `SimStats` (every f64 energy
-//! accumulator included, so a single rounding difference fails), and the
-//! same architectural NVM image under fault injection.
+//! Fast-path certification: the default [`ExecMode::FastForward`] must
+//! be *bit-identical* to [`ExecMode::Reference`] — the same machine step
+//! with every skip turned off (no ALU batching; shadow tags, deep-hit
+//! credit and the full cache paths always; a voltage sample every step;
+//! the capacitor's own `below_checkpoint()`). Same `SimStats` (every f64
+//! energy accumulator included, so a single rounding difference fails),
+//! and the same architectural NVM image under fault injection.
 //!
 //! The matrix deliberately crosses the fast path's specialisations:
 //! ALU-run batching (Sha is ALU-heavy), compression-heavy repacking
@@ -16,8 +17,8 @@
 use ehs_compress::Algorithm;
 use ehs_sim::faultinject::diff_nvm;
 use ehs_sim::{
-    CachescopeConfig, EhsDesign, ExecMode, Extension, FaultKind, GovernorSpec, LeakscopeOptions,
-    SimConfig, SimStats, Simulator, StepBudget,
+    Attach, CachescopeConfig, EhsDesign, ExecMode, Extension, FaultKind, GovernorSpec,
+    LeakscopeOptions, SimConfig, SimStats, Simulator, StepBudget,
 };
 use ehs_workloads::App;
 use kagura_core::{KaguraConfig, TriggerKind};
@@ -112,18 +113,15 @@ fn fast_forward_matches_reference_with_instruction_budget() {
 fn assert_cachescope_matches(app: App, scale: f64, cfg: &SimConfig) {
     // A short period so snapshots land inside (and must cap) ALU batches.
     let scope = CachescopeConfig::periodic(512);
-    let (fast, fast_rep) = ehs_sim::run_app_with_cachescope(
-        app,
-        scale,
-        &cfg.clone().with_exec(ExecMode::FastForward),
-        scope,
-    );
-    let (reference, ref_rep) = ehs_sim::run_app_with_cachescope(
-        app,
-        scale,
-        &cfg.clone().with_exec(ExecMode::Reference),
-        scope,
-    );
+    let program = app.build(scale);
+    let trace = ehs_sim::runner::default_trace(cfg);
+    let run = |exec: ExecMode| {
+        let attach = Attach { cachescope: Some(scope), ..Attach::default() };
+        let out = ehs_sim::run_program_with(&program, &trace, &cfg.clone().with_exec(exec), attach);
+        (out.stats, out.cachescope.expect("cachescope attached"))
+    };
+    let (fast, fast_rep) = run(ExecMode::FastForward);
+    let (reference, ref_rep) = run(ExecMode::Reference);
     assert_eq!(
         fast, reference,
         "stats diverged with cachescope attached: {app:?} gov={:?} ext={:?}",
@@ -217,12 +215,9 @@ fn leak_timeline_matches_between_loops_and_never_perturbs() {
     let program = App::Sha.build(0.004);
     let trace = ehs_sim::attack_trace(&cfg);
     let run = |exec: ExecMode| {
-        ehs_sim::run_program_with_leak_timeline(
-            &program,
-            &trace,
-            &cfg.clone().with_exec(exec),
-            2048,
-        )
+        let attach = Attach { leak_timeline: Some(2048), ..Attach::default() };
+        let out = ehs_sim::run_program_with(&program, &trace, &cfg.clone().with_exec(exec), attach);
+        (out.stats, out.leak_timeline.expect("leak timeline attached"))
     };
     let (fast, fast_tl) = run(ExecMode::FastForward);
     let (reference, ref_tl) = run(ExecMode::Reference);
@@ -255,7 +250,8 @@ fn fault_injection_images_match_between_loops() {
             let run = |exec: ExecMode| {
                 let mut sim = Simulator::new(cfg.clone().with_exec(exec), &program, &trace);
                 sim.arm_fault(at, *kind);
-                sim.run_with_memory()
+                let out = sim.execute();
+                (out.stats, out.nvm)
             };
             let (fast_stats, mut fast_nvm) = run(ExecMode::FastForward);
             let (ref_stats, mut ref_nvm) = run(ExecMode::Reference);

@@ -3,8 +3,11 @@
 //! semantics, EDBP's leakage effect, and checkpoint accounting.
 
 use ehs_energy::{EnergyCategory, PowerTrace};
-use ehs_sim::{run_app, run_program, EhsDesign, Extension, GovernorSpec, SimConfig, Simulator};
+use ehs_sim::{
+    run_app, run_program, EhsDesign, Extension, Governor, GovernorSpec, SimConfig, Simulator,
+};
 use ehs_workloads::App;
+use kagura_core::KaguraConfig;
 
 const SCALE: f64 = 0.1;
 
@@ -14,21 +17,24 @@ fn base() -> SimConfig {
 
 #[test]
 fn oracle_recording_run_behaves_like_the_inner_governor() {
-    // Phase 1 of the ideal methodology must not perturb execution: the
-    // recorder wraps ACC transparently.
+    // Phase 1 of the ideal methodology must not perturb execution: each
+    // recorder wraps its inner governor transparently, down to every
+    // counter and energy accumulator (Kagura's RM accounting and register
+    // state included).
     let program = App::G721d.build(SCALE);
     let trace = PowerTrace::generate(base().trace_kind, base().trace_seed, 2_000_000);
-    let plain = Simulator::new(base().with_governor(GovernorSpec::Acc), &program, &trace).run();
-    let (recorded, oracle_trace) = Simulator::with_governor(
-        base().with_governor(GovernorSpec::Acc),
-        &program,
-        &trace,
-        ehs_sim::Governor::record_acc(),
-    )
-    .run_recording();
-    assert_eq!(plain.sim_time, recorded.sim_time, "recorder must be transparent");
-    assert_eq!(plain.compression_ops(), recorded.compression_ops());
-    assert!(!oracle_trace.is_empty(), "a multi-cycle run must record cycles");
+    let kcfg = KaguraConfig::default();
+    for (spec, recorder) in [
+        (GovernorSpec::Acc, Governor::record_acc()),
+        (GovernorSpec::AccKagura(kcfg), Governor::record_kagura(kcfg)),
+    ] {
+        let cfg = base().with_governor(spec);
+        let plain = Simulator::new(cfg.clone(), &program, &trace).run();
+        let recorded = Simulator::with_governor(cfg, &program, &trace, recorder).execute();
+        assert_eq!(plain, recorded.stats, "recorder must be transparent: {}", spec.label());
+        let oracle_trace = recorded.oracle.expect("a recorder yields an oracle trace");
+        assert!(!oracle_trace.is_empty(), "a multi-cycle run must record cycles");
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use kagura::energy::PowerTrace;
 use kagura::mem::Nvm;
 use kagura::model::Power;
-use kagura::sim::{EhsDesign, GovernorSpec, SimConfig, Simulator};
+use kagura::sim::{EhsDesign, GovernorSpec, RunOutput, SimConfig, Simulator};
 use kagura::workloads::App;
 
 const SCALE: f64 = 0.1;
@@ -15,7 +15,7 @@ const SCALE: f64 = 0.1;
 /// Runs `app` under `cfg`, returning (power-failure count, final NVM).
 fn run(app: App, cfg: &SimConfig, trace: &PowerTrace) -> (u64, Nvm) {
     let program = app.build(SCALE);
-    let (stats, nvm) = Simulator::new(cfg.clone(), &program, trace).run_with_memory();
+    let RunOutput { stats, nvm, .. } = Simulator::new(cfg.clone(), &program, trace).execute();
     assert!(stats.completed, "{app} did not complete");
     (stats.checkpoints, nvm)
 }
