@@ -145,6 +145,21 @@ diff -r --exclude run_journal.jsonl --exclude fleet_journal.jsonl "$FLEET_A" "$F
 python3 -m json.tool "$FLEET_A/fleet.json" > /dev/null
 echo "fleet reports byte-identical across --jobs/--fleet-shard; stream parses back"
 
+echo "== results drift gate (committed results/ reproduce byte for byte) =="
+# The scale-1 experiments that finish in seconds are regenerated and
+# compared byte for byte against the committed results/. `repro` writes
+# every <id>.json with recursively sorted keys, so a difference here is
+# a changed value, never a reordered one. (The remaining results/ files
+# take minutes at scale 1 and are not regenerated here.)
+RESULTS_OUT="$(mktemp -d)"
+trap 'rm -rf "$FAULTGRID_OUT" "$LEDGER_OUT" "$CACHESCOPE_OUT" "$LEAKSCOPE_OUT" "$RESUME_BASE" "$RESUME_CUT" "$FLEET_A" "$FLEET_B" "$SERVE_DIR" "$RESULTS_OUT"' EXIT
+RESULTS_IDS=(summary fig1 fig3 fig12 hw table2 table4)
+"$REPRO" "${RESULTS_IDS[@]}" --scale 1 --quiet --out "$RESULTS_OUT" > /dev/null
+for id in "${RESULTS_IDS[@]}"; do
+    cmp "$RESULTS_OUT/$id.json" "results/$id.json"
+done
+echo "results/ reproduce byte for byte: ${RESULTS_IDS[*]}"
+
 echo "== CLI typo gate (unknown flags must suggest, not run) =="
 # A misspelled flag must fail fast with a did-you-mean suggestion rather
 # than being swallowed as an experiment id or positional argument.

@@ -80,7 +80,7 @@ use ehs_sim::{
     run_program_with, Attach, CachescopeConfig, EhsDesign, Extension, FaultKind, GovernorSpec,
     LeakscopeOptions, SimConfig, SimStats,
 };
-use ehs_telemetry::{ChromeTraceSink, JsonlSink, Sink, Stamped};
+use ehs_telemetry::{stream, ChromeTraceSink, JsonlSink, Sink, Stamped};
 use ehs_workloads::App;
 use kagura_bench::cachescope::{self, ScopeLabels};
 use kagura_bench::cli::{validate_args, CliError, FlagSpec};
@@ -438,7 +438,8 @@ fn run_leakscope(
     let path = Path::new(leak_file);
     leakscope::write_jsonl(path, &labels, &report)
         .map_err(|e| CliError::Runtime(format!("{leak_file}: {e}")))?;
-    let parsed = leakscope::parse_leakscope_file(path).map_err(CliError::Runtime)?;
+    let parsed =
+        stream::parse_file(path, leakscope::parse_leakscope_str).map_err(CliError::Runtime)?;
     eprintln!("leakscope stream written to {leak_file}");
     if args.has("--json") {
         let out = serde_json::json!({
@@ -643,7 +644,10 @@ fn run() -> Result<(), CliError> {
         // Parse the freshly-written stream back strictly: every dump is
         // its own schema round-trip check, and the rendered report below
         // comes from the parsed stream, not the in-memory report.
-        scope_parsed = Some(cachescope::parse_cachescope_file(path).map_err(CliError::Runtime)?);
+        scope_parsed = Some(
+            stream::parse_file(path, cachescope::parse_cachescope_str)
+                .map_err(CliError::Runtime)?,
+        );
         eprintln!("cachescope stream written to {scope_file}");
     }
     if args.has("--json") {

@@ -1,6 +1,6 @@
 //! Cachescope JSON adapters and report rendering.
 //!
-//! The sim crate deliberately has no serde dependency, so everything a
+//! The sim crate deliberately has no JSON dependency, so everything a
 //! [`CachescopeReport`] needs to cross a process boundary lives here:
 //! serialization to a single JSON document (experiment cells) or a JSONL
 //! stream (one header line, one `cycle` line per power-cycle boundary,
@@ -9,13 +9,14 @@
 //! on malformed input — CI's parse-back gate for the cachescope schema —
 //! and the per-app text report `repro explain` prints.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ehs_cache::SetOccupancy;
 use ehs_sim::{
     CachescopeAggregator, CachescopeReport, CycleScope, LatencyAttribution, OccupancySnapshot,
     ScopeCounters,
 };
+use ehs_telemetry::stream::{self, arr, f64 as f, str as s, u64 as u};
 use ehs_telemetry::Histogram;
 use serde_json::{json, Value};
 
@@ -147,7 +148,7 @@ pub fn report_to_jsonl(labels: &ScopeLabels, report: &CachescopeReport) -> Strin
         "dcache": aggregator_json(&report.dcache),
         "latency": latency_json(&report.latency),
     }));
-    lines.iter().map(|v| serde_json::to_string(v).expect("serializable") + "\n").collect()
+    stream::to_jsonl(&lines)
 }
 
 /// Atomically writes the JSONL stream for one run.
@@ -172,35 +173,6 @@ pub struct ParsedScope {
     pub snapshots: Vec<OccupancySnapshot>,
     /// The validated `summary` line, kept raw for rendering.
     pub summary: Value,
-}
-
-/// Walks a dotted path (`"dcache.hits"`), so errors name the exact
-/// nested field.
-pub(crate) fn field<'a>(v: &'a Value, path: &str) -> Result<&'a Value, String> {
-    let mut cur = v;
-    for k in path.split('.') {
-        cur = cur.get(k).ok_or_else(|| format!("missing field `{path}`"))?;
-    }
-    Ok(cur)
-}
-
-pub(crate) fn u(v: &Value, path: &str) -> Result<u64, String> {
-    field(v, path)?.as_u64().ok_or_else(|| format!("field `{path}` is not an unsigned integer"))
-}
-
-pub(crate) fn f(v: &Value, path: &str) -> Result<f64, String> {
-    field(v, path)?.as_f64().ok_or_else(|| format!("field `{path}` is not a number"))
-}
-
-pub(crate) fn s(v: &Value, path: &str) -> Result<String, String> {
-    Ok(field(v, path)?
-        .as_str()
-        .ok_or_else(|| format!("field `{path}` is not a string"))?
-        .to_string())
-}
-
-pub(crate) fn arr<'a>(v: &'a Value, path: &str) -> Result<&'a [Value], String> {
-    field(v, path)?.as_array().ok_or_else(|| format!("field `{path}` is not an array"))
 }
 
 fn counters_from(v: &Value, prefix: &str) -> Result<ScopeCounters, String> {
@@ -285,91 +257,47 @@ fn check_aggregator(v: &Value, prefix: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Strictly parses one cachescope JSONL stream; the error names the
-/// 1-based line and the offending field.
+/// Strictly parses one cachescope JSONL stream ([`stream::CACHESCOPE`]);
+/// the error names the 1-based line and the offending field.
 pub fn parse_cachescope_str(text: &str) -> Result<ParsedScope, (usize, String)> {
     let mut header: Option<(ScopeLabels, String)> = None;
     let mut cycles = Vec::new();
     let mut snapshots = Vec::new();
     let mut summary: Option<Value> = None;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at = |e: String| (lineno, e);
-        let v: Value = serde_json::from_str(line).map_err(|e| at(format!("invalid JSON: {e}")))?;
-        if summary.is_some() {
-            return Err(at("unexpected line after the `summary` line".into()));
-        }
-        let kind = s(&v, "kind").map_err(at)?;
-        if header.is_none() && kind != "cachescope" {
-            return Err(at(format!("first line must have kind `cachescope`, got `{kind}`")));
-        }
-        match kind.as_str() {
+    let last = stream::read_str(text, stream::CACHESCOPE, |kind, v| {
+        match kind {
             "cachescope" => {
-                if header.is_some() {
-                    return Err(at("duplicate `cachescope` header line".into()));
-                }
-                let labels = ScopeLabels {
-                    app: s(&v, "app").map_err(at)?,
-                    design: s(&v, "design").map_err(at)?,
-                    governor: s(&v, "governor").map_err(at)?,
-                };
-                header = Some((labels, s(&v, "algorithm").map_err(at)?));
+                let labels = ScopeLabels::new(s(v, "app")?, s(v, "design")?, s(v, "governor")?);
+                header = Some((labels, s(v, "algorithm")?.to_string()));
             }
             "cycle" => cycles.push(CycleScope {
-                cycle: u(&v, "cycle").map_err(at)?,
-                icache: counters_from(&v, "icache").map_err(at)?,
-                dcache: counters_from(&v, "dcache").map_err(at)?,
-                latency: latency_from(&v, "latency").map_err(at)?,
+                cycle: u(v, "cycle")?,
+                icache: counters_from(v, "icache")?,
+                dcache: counters_from(v, "dcache")?,
+                latency: latency_from(v, "latency")?,
             }),
             "snapshot" => snapshots.push(OccupancySnapshot {
-                inst_index: u(&v, "inst_index").map_err(at)?,
-                cycle: u(&v, "cycle").map_err(at)?,
-                icache: occupancy_from(&v, "icache").map_err(at)?,
-                dcache: occupancy_from(&v, "dcache").map_err(at)?,
+                inst_index: u(v, "inst_index")?,
+                cycle: u(v, "cycle")?,
+                icache: occupancy_from(v, "icache")?,
+                dcache: occupancy_from(v, "dcache")?,
             }),
             "summary" => {
-                check_aggregator(&v, "icache").map_err(at)?;
-                check_aggregator(&v, "dcache").map_err(at)?;
-                latency_from(&v, "latency").map_err(at)?;
-                summary = Some(v);
+                check_aggregator(v, "icache")?;
+                check_aggregator(v, "dcache")?;
+                latency_from(v, "latency")?;
+                summary = Some(v.clone());
             }
-            other => return Err(at(format!("unknown line kind `{other}`"))),
+            other => return Err(stream::unknown_kind(other)),
         }
-    }
-    let last = text.lines().count().max(1);
-    let (labels, algorithm) =
-        header.ok_or((last, "empty stream: missing `cachescope` header line".to_string()))?;
-    let summary = summary.ok_or((last, "stream ended without a `summary` line".to_string()))?;
+        Ok(())
+    })?;
     if cycles.is_empty() {
         return Err((last, "stream has no `cycle` rows (the end-of-run row is mandatory)".into()));
     }
+    let (labels, algorithm) = header.expect("the reader requires the header line");
+    let summary = summary.expect("the reader requires the summary line");
     Ok(ParsedScope { labels, algorithm, cycles, snapshots, summary })
-}
-
-/// [`parse_cachescope_str`] over a file, prefixing `file:line:`.
-pub fn parse_cachescope_file(path: &Path) -> Result<ParsedScope, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse_cachescope_str(&text).map_err(|(line, msg)| format!("{}:{line}: {msg}", path.display()))
-}
-
-/// Finds every `cachescope_<app>.jsonl` under `dir`, sorted by app name.
-pub fn discover_cachescope_files(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(app) = name.strip_prefix("cachescope_").and_then(|n| n.strip_suffix(".jsonl")) {
-            found.push((app.to_string(), entry.path()));
-        }
-    }
-    found.sort();
-    Ok(found)
 }
 
 /// Fraction → one timeline glyph, coarse utilization ramp.

@@ -21,7 +21,7 @@ use ehs_sim::parallel::SimJob;
 use serde_json::{json, Value};
 
 use crate::fleet::{
-    parse_fleet_file, report_json, report_jsonl, FleetAggregate, FleetJournal, METRICS,
+    parse_fleet_str, report_json, report_jsonl, FleetAggregate, FleetJournal, METRICS,
 };
 use crate::{fsutil, print_table, ExpContext};
 
@@ -195,7 +195,7 @@ pub fn fleet(ctx: &ExpContext) -> Value {
     let stream = report_jsonl(&report);
     fsutil::atomic_write(&jsonl_path, stream.as_bytes())
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", jsonl_path.display()));
-    let parsed = parse_fleet_file(&jsonl_path)
+    let parsed = ehs_telemetry::stream::parse_file(&jsonl_path, parse_fleet_str)
         .unwrap_or_else(|e| panic!("fleet stream failed its own parse-back: {e}"));
     assert_eq!(
         parsed.cells, agg.overall.cells,

@@ -2,61 +2,20 @@
 //! flight-record streams dumped by `repro energy_waste --telemetry DIR`
 //! or `simrun --flight-record FILE`.
 //!
-//! The parser here is deliberately *strict*, unlike the lenient
-//! [`ehs_telemetry::sink::parse_jsonl`] used for ad-hoc analysis: every
-//! line of every `flight_<app>.jsonl` must be valid JSON and a
-//! well-formed [`Stamped`] event, and a malformed line fails the whole
-//! command with a `file:line` diagnostic. CI uses this as the
-//! parse-back gate for the flight-record schema.
+//! Every stream is read strictly through [`ehs_telemetry::stream`]: a
+//! malformed line fails the whole command with a `file:line` diagnostic
+//! naming the offending field. CI uses this as the parse-back gate for
+//! the flight-record, cachescope and leakscope schemas.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use ehs_telemetry::stream;
 use ehs_telemetry::{Event, FlightRecord, Stamped};
 use serde_json::Value;
 
 /// How many mode switches / threshold adjustments the timeline prints
 /// before eliding the middle.
 const TIMELINE_HEAD: usize = 10;
-
-/// Strictly parses one flight-record JSONL file.
-///
-/// Blank lines are allowed (trailing newline); anything else that does
-/// not round-trip through [`Stamped::from_value_strict`] is an error
-/// naming the file, the 1-based line, *and* the offending field
-/// (missing, mistyped, or unknown kind).
-pub fn parse_flight_file(path: &Path) -> Result<Vec<Stamped>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut events = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = serde_json::from_str(line)
-            .map_err(|e| format!("{}:{}: invalid JSON: {e}", path.display(), idx + 1))?;
-        let s = Stamped::from_value_strict(&v)
-            .map_err(|e| format!("{}:{}: {e}", path.display(), idx + 1))?;
-        events.push(s);
-    }
-    Ok(events)
-}
-
-/// Finds every `flight_<app>.jsonl` under `dir`, sorted by app name so
-/// the report order is deterministic.
-pub fn discover_flight_files(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(app) = name.strip_prefix("flight_").and_then(|n| n.strip_suffix(".jsonl")) {
-            found.push((app.to_string(), entry.path()));
-        }
-    }
-    found.sort();
-    Ok(found)
-}
 
 /// The flight records of a stream, in emission order.
 fn flights(events: &[Stamped]) -> Vec<&FlightRecord> {
@@ -252,9 +211,9 @@ pub fn waste_baseline(doc: &Value, app: &str) -> Option<(f64, f64)> {
 /// table when more than one leakscope cell is present), and returns the
 /// number of streams rendered.
 pub fn explain_dir(dir: &Path) -> Result<usize, String> {
-    let files = discover_flight_files(dir)?;
-    let scopes = crate::cachescope::discover_cachescope_files(dir)?;
-    let leaks = crate::leakscope::discover_leakscope_files(dir)?;
+    let files = stream::discover(dir, "flight_")?;
+    let scopes = stream::discover(dir, "cachescope_")?;
+    let leaks = stream::discover(dir, "leakscope_")?;
     if files.is_empty() && scopes.is_empty() && leaks.is_empty() {
         return Err(format!(
             "no flight_<app>.jsonl, cachescope_<app>.jsonl or leakscope_<cell>.jsonl under \
@@ -269,19 +228,19 @@ pub fn explain_dir(dir: &Path) -> Result<usize, String> {
         .ok()
         .and_then(|t| serde_json::from_str(&t).ok());
     for (app, path) in &files {
-        let events = parse_flight_file(path)?;
+        let events = stream::parse_file(path, Stamped::from_jsonl)?;
         let baseline = baseline_doc.as_ref().and_then(|d| waste_baseline(d, app));
         print!("{}", render_report(app, &events, baseline));
         println!();
     }
     for (_, path) in &scopes {
-        let parsed = crate::cachescope::parse_cachescope_file(path)?;
+        let parsed = stream::parse_file(path, crate::cachescope::parse_cachescope_str)?;
         print!("{}", crate::cachescope::render_report(&parsed));
         println!();
     }
     let mut leak_cells = Vec::with_capacity(leaks.len());
     for (_, path) in &leaks {
-        let parsed = crate::leakscope::parse_leakscope_file(path)?;
+        let parsed = stream::parse_file(path, crate::leakscope::parse_leakscope_str)?;
         print!("{}", crate::leakscope::render_leak_report(&parsed));
         println!();
         leak_cells.push(parsed);
@@ -342,7 +301,11 @@ mod tests {
     }
 
     fn jsonl(events: &[Stamped]) -> String {
-        events.iter().map(|s| serde_json::to_string(&s.to_value()).unwrap() + "\n").collect()
+        stream::to_jsonl(&events.iter().map(Stamped::to_value).collect::<Vec<_>>())
+    }
+
+    fn parse(path: &Path) -> Result<Vec<Stamped>, String> {
+        stream::parse_file(path, Stamped::from_jsonl)
     }
 
     #[test]
@@ -351,9 +314,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("flight_sha.jsonl");
         std::fs::write(&path, jsonl(&stream())).unwrap();
-        let events = parse_flight_file(&path).expect("valid stream parses");
+        let events = parse(&path).expect("valid stream parses");
         assert_eq!(events, stream());
-        let found = discover_flight_files(&dir).unwrap();
+        let found = stream::discover(&dir, "flight_").unwrap();
         assert!(found.iter().any(|(app, _)| app == "sha"));
     }
 
@@ -365,12 +328,12 @@ mod tests {
         let mut text = jsonl(&stream());
         text.push_str("{\"kind\": \"FlightRecord\", \"t_us\": 1.0}\n");
         std::fs::write(&path, text).unwrap();
-        let err = parse_flight_file(&path).unwrap_err();
+        let err = parse(&path).unwrap_err();
         assert!(err.contains("flight_crc32.jsonl:4"), "error must name file:line, got {err}");
         assert!(err.contains("`cycle`"), "error must name the missing field, got {err}");
 
         std::fs::write(&path, "not json at all\n").unwrap();
-        let err = parse_flight_file(&path).unwrap_err();
+        let err = parse(&path).unwrap_err();
         assert!(err.contains("invalid JSON"), "got {err}");
     }
 
@@ -387,7 +350,7 @@ mod tests {
         let flipped = good.replacen("\"old\":", "\"olf\":", 1);
         assert_ne!(good, flipped, "fixture must contain a ThresholdAdjust line");
         std::fs::write(&path, flipped).unwrap();
-        let err = parse_flight_file(&path).unwrap_err();
+        let err = parse(&path).unwrap_err();
         assert!(err.contains("flight_gsm.jsonl:2"), "file:line, got {err}");
         assert!(err.contains("`old`"), "field name, got {err}");
 
@@ -396,7 +359,7 @@ mod tests {
         let lines: Vec<&str> = good.lines().collect();
         let torn = format!("{}\n{}\n{}", lines[0], lines[1], &lines[2][..lines[2].len() / 2]);
         std::fs::write(&path, torn).unwrap();
-        let err = parse_flight_file(&path).unwrap_err();
+        let err = parse(&path).unwrap_err();
         assert!(err.contains("flight_gsm.jsonl:3"), "file:line, got {err}");
         assert!(err.contains("invalid JSON"), "got {err}");
     }

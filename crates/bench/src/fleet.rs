@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 
 use ehs_sim::fleet::{FleetCell, FleetSpec};
 use ehs_sim::SimStats;
-use ehs_telemetry::{quantile_of_sorted, Histogram, Reservoir};
+use ehs_telemetry::{quantile_of_sorted, stream, Histogram, Reservoir};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
@@ -130,10 +130,9 @@ impl MetricAgg {
     }
 
     fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let part = |k: &str| v.get(k).ok_or_else(|| format!("metric field `{k}` missing"));
         Ok(MetricAgg {
-            hist: Histogram::from_exact_json(part("hist")?)?,
-            sample: Reservoir::from_exact_json(part("sample")?)?,
+            hist: Histogram::from_exact_json(stream::field(v, "hist")?)?,
+            sample: Reservoir::from_exact_json(stream::field(v, "sample")?)?,
         })
     }
 }
@@ -187,15 +186,7 @@ impl StratumAgg {
     }
 
     fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("stratum field `{k}` is not a u64"))
-        };
-        let metrics = v
-            .get("metrics")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "stratum field `metrics` is not an array".to_string())?
+        let metrics = stream::arr(v, "metrics")?
             .iter()
             .map(MetricAgg::from_exact_json)
             .collect::<Result<Vec<_>, _>>()?;
@@ -207,9 +198,9 @@ impl StratumAgg {
             ));
         }
         Ok(StratumAgg {
-            cells: u("cells")?,
-            failed: u("failed")?,
-            incomplete: u("incomplete")?,
+            cells: stream::u64(v, "cells")?,
+            failed: stream::u64(v, "failed")?,
+            incomplete: stream::u64(v, "incomplete")?,
             metrics,
         })
     }
@@ -326,30 +317,18 @@ impl FleetAggregate {
     ///
     /// Returns `Err` naming the offending field on any schema mismatch.
     pub fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let campaign_seed = v
-            .get("campaign_seed")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| "aggregate field `campaign_seed` is not a u64".to_string())?;
-        let strata = v
-            .get("strata")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "aggregate field `strata` is not an array".to_string())?
+        let strata = stream::arr(v, "strata")?
             .iter()
             .map(|s| {
-                let label = s
-                    .get("stratum")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "stratum label missing".to_string())?;
-                let agg = StratumAgg::from_exact_json(
-                    s.get("agg").ok_or_else(|| format!("stratum {label:?} has no `agg`"))?,
-                )?;
-                Ok((label.to_string(), agg))
+                let agg = StratumAgg::from_exact_json(stream::field(s, "agg")?)?;
+                Ok((stream::str(s, "stratum")?.to_string(), agg))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let overall = StratumAgg::from_exact_json(
-            v.get("overall").ok_or_else(|| "aggregate field `overall` missing".to_string())?,
-        )?;
-        Ok(FleetAggregate { campaign_seed, strata, overall })
+        Ok(FleetAggregate {
+            campaign_seed: stream::u64(v, "campaign_seed")?,
+            strata,
+            overall: StratumAgg::from_exact_json(stream::field(v, "overall")?)?,
+        })
     }
 }
 
@@ -551,23 +530,16 @@ pub fn report_json(params: &FleetParams, spec: &FleetSpec, agg: &FleetAggregate)
     })
 }
 
-/// Renders the report as a JSONL stream: a header line, one line per
-/// stratum (population-wide `overall` last), and a summary line.
+/// Renders the report as a JSONL stream ([`stream::FLEET`]): a header
+/// line, one line per stratum (population-wide `overall` last), and a
+/// summary line.
 pub fn report_jsonl(report: &Value) -> String {
-    let mut out = String::new();
-    let line = |out: &mut String, v: Value| {
-        out.push_str(&serde_json::to_string(&v).expect("serializable"));
-        out.push('\n');
-    };
-    line(
-        &mut out,
-        json!({
-            "kind": "header",
-            "population": report.get("population").cloned().unwrap_or(Value::Null),
-            "seed": report.get("seed").cloned().unwrap_or(Value::Null),
-            "scale": report.get("scale").cloned().unwrap_or(Value::Null),
-        }),
-    );
+    let mut lines = vec![json!({
+        "kind": "header",
+        "population": report.get("population").cloned().unwrap_or(Value::Null),
+        "seed": report.get("seed").cloned().unwrap_or(Value::Null),
+        "scale": report.get("scale").cloned().unwrap_or(Value::Null),
+    })];
     let strata: Vec<Value> =
         report.get("strata").and_then(Value::as_array).map(<[Value]>::to_vec).unwrap_or_default();
     let (mut cells, mut failed) = (0u64, 0u64);
@@ -580,10 +552,10 @@ pub fn report_jsonl(report: &Value) -> String {
         if let Value::Object(fields) = s {
             row.extend(fields.iter().cloned());
         }
-        line(&mut out, Value::Object(row));
+        lines.push(Value::Object(row));
     }
-    line(&mut out, json!({ "kind": "summary", "cells": cells, "failed": failed }));
-    out
+    lines.push(json!({ "kind": "summary", "cells": cells, "failed": failed }));
+    stream::to_jsonl(&lines)
 }
 
 /// One metric parsed back from the JSONL report:
@@ -617,95 +589,53 @@ pub struct FleetReport {
     pub cells: u64,
 }
 
-/// Parses a `fleet.jsonl` stream strictly: every line must be valid
-/// JSON of the expected kind with every required field, or the parse
-/// fails with a `file:line` diagnostic naming the offending field —
+/// Parses a `fleet.jsonl` stream strictly ([`stream::FLEET`]): every
+/// line must be valid JSON of the expected kind with every required
+/// field, or the error names the 1-based line and the offending field —
 /// the same contract the cachescope streams honour.
 ///
 /// # Errors
 ///
-/// Returns a `file:line`-prefixed message on any malformed line.
-pub fn parse_fleet_file(path: &Path) -> Result<FleetReport, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let ctx = |i: usize, msg: String| format!("{}:{}: {msg}", path.display(), i + 1);
-    let mut header: Option<(u64, u64)> = None;
+/// Returns `(line, message)` on any malformed line or stream.
+pub fn parse_fleet_str(text: &str) -> Result<FleetReport, (usize, String)> {
+    let (mut population, mut seed, mut cells) = (0, 0, 0);
     let mut strata = Vec::new();
-    let mut summary: Option<u64> = None;
-    for (i, line) in text.lines().enumerate() {
-        let v: Value = serde_json::from_str(line).map_err(|e| ctx(i, format!("bad JSON: {e}")))?;
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ctx(i, "missing field `kind`".into()))?;
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ctx(i, format!("field `{k}` is not a u64")))
-        };
+    let last = stream::read_str(text, stream::FLEET, |kind, v| {
         match kind {
             "header" => {
-                if i != 0 {
-                    return Err(ctx(i, "header after first line".into()));
-                }
-                header = Some((u("population")?, u("seed")?));
+                (population, seed) = (stream::u64(v, "population")?, stream::u64(v, "seed")?)
             }
-            "stratum" => {
-                let label = v
-                    .get("stratum")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ctx(i, "field `stratum` is not a string".into()))?;
-                let mut metrics = BTreeMap::new();
-                let rows = v
-                    .get("metrics")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| ctx(i, "field `metrics` is not an array".into()))?;
-                for m in rows {
-                    let name = m
-                        .get("metric")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| ctx(i, "metric row missing `metric`".into()))?;
-                    let count = m
-                        .get("count")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| ctx(i, format!("metric {name:?} missing `count`")))?;
-                    let f = |k: &str| -> Result<Option<f64>, String> {
-                        match m.get(k) {
-                            Some(Value::Null) => Ok(None),
-                            Some(x) => x.as_f64().map(Some).ok_or_else(|| {
-                                ctx(i, format!("metric {name:?} field `{k}` is not a number"))
-                            }),
-                            None => Err(ctx(i, format!("metric {name:?} missing `{k}`"))),
-                        }
-                    };
-                    let ci = match (f("ci_lo")?, f("ci_hi")?) {
-                        (Some(lo), Some(hi)) => Some((lo, hi)),
-                        _ => None,
-                    };
-                    metrics.insert(name.to_string(), (count, f("mean")?, f("p50")?, f("p99")?, ci));
-                }
-                strata.push(FleetStratumRow {
-                    stratum: label.to_string(),
-                    cells: u("cells")?,
-                    failed: u("failed")?,
-                    metrics,
-                });
-            }
-            "summary" => {
-                if summary.is_some() {
-                    return Err(ctx(i, "duplicate summary line".into()));
-                }
-                summary = Some(u("cells")?);
-            }
-            other => return Err(ctx(i, format!("unknown line kind {other:?}"))),
+            "stratum" => strata.push(stratum_row(v)?),
+            "summary" => cells = stream::u64(v, "cells")?,
+            other => return Err(stream::unknown_kind(other)),
         }
-    }
-    let (population, seed) =
-        header.ok_or_else(|| format!("{}: missing header line", path.display()))?;
-    let cells = summary.ok_or_else(|| format!("{}: missing summary line", path.display()))?;
+        Ok(())
+    })?;
     if strata.last().map(|s| s.stratum.as_str()) != Some("overall") {
-        return Err(format!("{}: stream must end its strata with `overall`", path.display()));
+        return Err((last, "stream must end its strata with `overall`".into()));
     }
     Ok(FleetReport { population, seed, strata, cells })
+}
+
+fn stratum_row(v: &Value) -> Result<FleetStratumRow, String> {
+    let mut metrics = BTreeMap::new();
+    for m in stream::arr(v, "metrics")? {
+        let name = stream::str(m, "metric")?;
+        let in_metric = |e: String| format!("metric `{name}`: {e}");
+        let f = |k: &str| stream::or_null(m, k, stream::f64).map_err(in_metric);
+        let ci = match (f("ci_lo")?, f("ci_hi")?) {
+            (Some(lo), Some(hi)) => Some((lo, hi)),
+            _ => None,
+        };
+        let count = stream::u64(m, "count").map_err(in_metric)?;
+        metrics.insert(name.to_string(), (count, f("mean")?, f("p50")?, f("p99")?, ci));
+    }
+    Ok(FleetStratumRow {
+        stratum: stream::str(v, "stratum")?.to_string(),
+        cells: stream::u64(v, "cells")?,
+        failed: stream::u64(v, "failed")?,
+        metrics,
+    })
 }
 
 #[cfg(test)]
@@ -850,6 +780,52 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A small campaign's `fleet.jsonl` text.
+    fn report_text() -> String {
+        let s = spec(45);
+        let params = FleetParams { population: 45, seed: s.seed, shard_size: 10 };
+        let mut agg = FleetAggregate::new(s.seed);
+        observe_synthetic(&mut agg, &s, 0..45);
+        report_jsonl(&report_json(&params, &s, &agg))
+    }
+
+    /// Parses `text` from a file named `name`, as the experiment does.
+    fn parse_text(name: &str, text: &str) -> Result<FleetReport, String> {
+        let dir = std::env::temp_dir().join("kagura_fleet_strict_test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        fs::write(&path, text).unwrap();
+        stream::parse_file(&path, parse_fleet_str)
+    }
+
+    #[test]
+    fn stream_rejects_a_line_after_the_summary() {
+        let text = report_text();
+        let stratum = text.lines().nth(1).unwrap();
+        let n = text.lines().count();
+        let err = parse_text("after.jsonl", &format!("{text}{stratum}\n")).unwrap_err();
+        assert!(err.contains(&format!("after.jsonl:{}:", n + 1)), "{err}");
+        assert!(err.contains("after the `summary` line"), "{err}");
+    }
+
+    #[test]
+    fn stream_skips_blank_lines() {
+        let text = report_text();
+        let spaced = text.replacen('\n', "\n\n", 2) + "\n";
+        assert_eq!(parse_text("blank.jsonl", &spaced), parse_text("plain.jsonl", &text));
+        assert!(parse_text("plain.jsonl", &text).is_ok());
+    }
+
+    #[test]
+    fn stream_names_the_line_of_a_missing_header() {
+        let text = report_text();
+        let body: String = text.lines().skip(1).map(|l| format!("{l}\n")).collect();
+        let err = parse_text("headless.jsonl", &body).unwrap_err();
+        assert!(err.contains("headless.jsonl:1: first line must have kind `header`"), "{err}");
+        let err = parse_text("empty.jsonl", "").unwrap_err();
+        assert!(err.contains("empty.jsonl:1: empty stream: missing `header`"), "{err}");
+    }
+
     #[test]
     fn jsonl_report_round_trips_strictly() {
         let s = spec(45);
@@ -861,7 +837,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fleet.jsonl");
         fs::write(&path, report_jsonl(&report)).unwrap();
-        let parsed = parse_fleet_file(&path).unwrap();
+        let parsed = stream::parse_file(&path, parse_fleet_str).unwrap();
         assert_eq!(parsed.population, 45);
         assert_eq!(parsed.seed, s.seed);
         assert_eq!(parsed.cells, 45);
@@ -874,7 +850,7 @@ mod tests {
             fs::read_to_string(&path).unwrap().lines().map(String::from).collect();
         lines[1] = lines[1].replace("\"cells\":", "\"cels\":");
         fs::write(&path, lines.join("\n")).unwrap();
-        let err = parse_fleet_file(&path).unwrap_err();
+        let err = stream::parse_file(&path, parse_fleet_str).unwrap_err();
         assert!(err.contains(":2:"), "diagnostic must name the line: {err}");
         fs::remove_dir_all(&dir).unwrap();
     }

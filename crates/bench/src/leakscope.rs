@@ -3,19 +3,20 @@
 //! The sim crate's [`CellAttackReport`] crosses process boundaries here:
 //! serialization to a strict JSONL stream (one `leakscope` header, one
 //! `probe` line per guess run, one `guess` line per recovered byte, one
-//! trailing `summary`), a strict parser that names the offending line and
-//! field on malformed input — mirroring the cachescope conventions CI's
-//! parse-back gate enforces — and the text reports `repro explain`
+//! trailing `summary`), a strict parser on the shared
+//! [`ehs_telemetry::stream`] reader that names the offending line and
+//! field on malformed input, and the text reports `repro explain`
 //! prints: the per-cell guess timeline and the cross-cell
 //! MI/guesses-to-recovery table.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ehs_sim::{CellAttackReport, GuessProbe};
+use ehs_telemetry::stream::{self, arr, bool as b, f64 as f, i64 as i, str as s, u64 as u};
 use ehs_telemetry::AttackStats;
 use serde_json::{json, Value};
 
-use crate::cachescope::{arr, f, field, s, u, ScopeLabels};
+use crate::cachescope::ScopeLabels;
 
 /// Lowercase hex of a byte string.
 pub fn to_hex(bytes: &[u8]) -> String {
@@ -33,14 +34,6 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, String> {
                 .map_err(|_| format!("invalid hex at offset {}", 2 * i))
         })
         .collect()
-}
-
-fn i64_of(v: &Value, path: &str) -> Result<i64, String> {
-    field(v, path)?.as_i64().ok_or_else(|| format!("field `{path}` is not an integer"))
-}
-
-fn bool_of(v: &Value, path: &str) -> Result<bool, String> {
-    field(v, path)?.as_bool().ok_or_else(|| format!("field `{path}` is not a boolean"))
 }
 
 fn byte_of(v: &Value, path: &str) -> Result<u8, String> {
@@ -106,7 +99,7 @@ pub fn report_to_jsonl(labels: &ScopeLabels, report: &CellAttackReport) -> Strin
         "mi_samples": report.mi_samples.len(),
         "histograms": hists,
     }));
-    lines.iter().map(|v| serde_json::to_string(v).expect("serializable") + "\n").collect()
+    stream::to_jsonl(&lines)
 }
 
 /// Atomically writes the JSONL stream for one cell.
@@ -155,8 +148,8 @@ fn probe_from(v: &Value) -> Result<GuessProbe, String> {
         guess: byte_of(v, "guess")?,
         retry: u(v, "retry")? as u32,
         latency: u(v, "latency")?,
-        hit: bool_of(v, "hit")?,
-        occ_delta: i64_of(v, "occ_delta")?,
+        hit: b(v, "hit")?,
+        occ_delta: i(v, "occ_delta")?,
     })
 }
 
@@ -198,86 +191,47 @@ fn histograms_from(v: &Value) -> Result<LeakHistograms, String> {
     Ok(out)
 }
 
-/// Strictly parses one leakscope JSONL stream; the error names the
-/// 1-based line and the offending field.
+/// Strictly parses one leakscope JSONL stream ([`stream::LEAKSCOPE`]);
+/// the error names the 1-based line and the offending field.
 pub fn parse_leakscope_str(text: &str) -> Result<ParsedLeak, (usize, String)> {
     let mut parsed: Option<ParsedLeak> = None;
-    let mut done = false;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
+    let last = stream::read_str(text, stream::LEAKSCOPE, |kind, v| {
+        if kind == "leakscope" {
+            parsed = Some(ParsedLeak {
+                labels: ScopeLabels::new(s(v, "app")?, s(v, "design")?, s(v, "governor")?),
+                algorithm: s(v, "algorithm")?.to_string(),
+                supported: b(v, "supported")?,
+                secret: from_hex(s(v, "secret")?).map_err(|e| format!("field `secret`: {e}"))?,
+                pad_family: stream::or_null(v, "pad_family", u)?,
+                probes: Vec::new(),
+                guesses: Vec::new(),
+                stats: AttackStats::default(),
+                recovered: Vec::new(),
+                mi_bits: 0.0,
+                capacity_bits: 0.0,
+                mi_samples: 0,
+                histograms: Vec::new(),
+            });
+            return Ok(());
         }
-        let at = |e: String| (lineno, e);
-        let v: Value = serde_json::from_str(line).map_err(|e| at(format!("invalid JSON: {e}")))?;
-        if done {
-            return Err(at("unexpected line after the `summary` line".into()));
-        }
-        let kind = s(&v, "kind").map_err(at)?;
-        if parsed.is_none() && kind != "leakscope" {
-            return Err(at(format!("first line must have kind `leakscope`, got `{kind}`")));
-        }
-        match kind.as_str() {
-            "leakscope" => {
-                if parsed.is_some() {
-                    return Err(at("duplicate `leakscope` header line".into()));
-                }
-                let pad_family = match field(&v, "pad_family").map_err(at)? {
-                    Value::Null => None,
-                    other => Some(other.as_u64().ok_or_else(|| {
-                        at("field `pad_family` is not an unsigned integer or null".into())
-                    })?),
-                };
-                parsed = Some(ParsedLeak {
-                    labels: ScopeLabels {
-                        app: s(&v, "app").map_err(at)?,
-                        design: s(&v, "design").map_err(at)?,
-                        governor: s(&v, "governor").map_err(at)?,
-                    },
-                    algorithm: s(&v, "algorithm").map_err(at)?,
-                    supported: bool_of(&v, "supported").map_err(at)?,
-                    secret: from_hex(&s(&v, "secret").map_err(at)?)
-                        .map_err(|e| at(format!("field `secret`: {e}")))?,
-                    pad_family,
-                    probes: Vec::new(),
-                    guesses: Vec::new(),
-                    stats: AttackStats::default(),
-                    recovered: Vec::new(),
-                    mi_bits: 0.0,
-                    capacity_bits: 0.0,
-                    mi_samples: 0,
-                    histograms: Vec::new(),
-                });
-            }
-            "probe" => {
-                let p = parsed.as_mut().expect("header precedes by construction");
-                p.probes.push(probe_from(&v).map_err(at)?);
-            }
-            "guess" => {
-                let p = parsed.as_mut().expect("header precedes by construction");
-                p.guesses
-                    .push((u(&v, "byte_index").map_err(at)?, byte_of(&v, "value").map_err(at)?));
-            }
+        let p = parsed.as_mut().expect("the reader puts the header first");
+        match kind {
+            "probe" => p.probes.push(probe_from(v)?),
+            "guess" => p.guesses.push((u(v, "byte_index")?, byte_of(v, "value")?)),
             "summary" => {
-                let p = parsed.as_mut().expect("header precedes by construction");
-                p.stats = stats_from(&v).map_err(at)?;
-                p.recovered = from_hex(&s(&v, "recovered").map_err(at)?)
-                    .map_err(|e| at(format!("field `recovered`: {e}")))?;
-                p.mi_bits = f(&v, "mi_bits").map_err(at)?;
-                p.capacity_bits = f(&v, "capacity_bits").map_err(at)?;
-                p.mi_samples = u(&v, "mi_samples").map_err(at)?;
-                p.histograms = histograms_from(&v).map_err(at)?;
-                done = true;
+                p.stats = stats_from(v)?;
+                p.recovered =
+                    from_hex(s(v, "recovered")?).map_err(|e| format!("field `recovered`: {e}"))?;
+                p.mi_bits = f(v, "mi_bits")?;
+                p.capacity_bits = f(v, "capacity_bits")?;
+                p.mi_samples = u(v, "mi_samples")?;
+                p.histograms = histograms_from(v)?;
             }
-            other => return Err(at(format!("unknown line kind `{other}`"))),
+            other => return Err(stream::unknown_kind(other)),
         }
-    }
-    let last = text.lines().count().max(1);
-    let parsed =
-        parsed.ok_or((last, "empty stream: missing `leakscope` header line".to_string()))?;
-    if !done {
-        return Err((last, "stream ended without a `summary` line".to_string()));
-    }
+        Ok(())
+    })?;
+    let parsed = parsed.expect("the reader requires the header line");
     if parsed.recovered.len() != parsed.guesses.len() {
         return Err((
             last,
@@ -289,29 +243,6 @@ pub fn parse_leakscope_str(text: &str) -> Result<ParsedLeak, (usize, String)> {
         ));
     }
     Ok(parsed)
-}
-
-/// [`parse_leakscope_str`] over a file, prefixing `file:line:`.
-pub fn parse_leakscope_file(path: &Path) -> Result<ParsedLeak, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse_leakscope_str(&text).map_err(|(line, msg)| format!("{}:{line}: {msg}", path.display()))
-}
-
-/// Finds every `leakscope_<cell>.jsonl` under `dir`, sorted by cell slug.
-pub fn discover_leakscope_files(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(cell) = name.strip_prefix("leakscope_").and_then(|n| n.strip_suffix(".jsonl")) {
-            found.push((cell.to_string(), entry.path()));
-        }
-    }
-    found.sort();
-    Ok(found)
 }
 
 /// Renders one cell's attack report: outcome, guess timeline, channel

@@ -110,7 +110,10 @@ impl ExpContext {
 
     /// Writes `value` as pretty JSON to `<out_dir>/<id>.json`, atomically
     /// (tmp sibling + fsync + rename): a run killed mid-save leaves either
-    /// the previous artifact or the new one, never a torn file.
+    /// the previous artifact or the new one, never a torn file. Object
+    /// keys are sorted recursively, the one canonical byte order of
+    /// `results/`, so a regenerated artifact can be `cmp`ed against the
+    /// committed one whatever order an experiment builds its JSON in.
     ///
     /// # Panics
     ///
@@ -120,7 +123,7 @@ impl ExpContext {
         fs::create_dir_all(&self.out_dir)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", self.out_dir.display()));
         let path = self.out_dir.join(format!("{id}.json"));
-        let text = serde_json::to_string_pretty(value).expect("serializable");
+        let text = serde_json::to_string_pretty(&sorted_keys(value)).expect("serializable");
         fsutil::atomic_write(&path, text.as_bytes())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         println!("  [saved {}]", path.display());
@@ -150,6 +153,20 @@ impl ExpContext {
             self.cycle_total.swap(0, Ordering::Relaxed),
             self.violation_total.swap(0, Ordering::Relaxed),
         )
+    }
+}
+
+/// `value` with every object's keys sorted, recursively.
+fn sorted_keys(value: &Value) -> Value {
+    match value {
+        Value::Object(members) => {
+            let mut members: Vec<(String, Value)> =
+                members.iter().map(|(k, v)| (k.clone(), sorted_keys(v))).collect();
+            members.sort_by(|a, b| a.0.cmp(&b.0));
+            Value::Object(members)
+        }
+        Value::Array(items) => Value::Array(items.iter().map(sorted_keys).collect()),
+        other => other.clone(),
     }
 }
 
@@ -282,6 +299,22 @@ mod tests {
     fn pct_formatting() {
         assert_eq!(pct_gain(1.0474), "+4.74%");
         assert_eq!(pct_gain(0.98), "-2.00%");
+    }
+
+    #[test]
+    fn save_writes_nested_keys_in_sorted_order() {
+        let mut ctx = ExpContext::default();
+        ctx.out_dir = std::env::temp_dir().join("kagura_save_sorted_test");
+        let inner = serde_json::json!({"z": 1, "y": {"d": 2, "c": 3}});
+        ctx.save("sorted", &serde_json::json!({"b": 1, "a": [inner], "C": null}));
+        let text = fs::read_to_string(ctx.out_dir.join("sorted.json")).unwrap();
+        let keys: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix('"')?.split_once('"'))
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(keys, ["C", "a", "y", "c", "d", "z", "b"], "{text}");
+        fs::remove_dir_all(&ctx.out_dir).unwrap();
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub use timeline::{AccessTimeline, LatencyModel, TimelineRecord};
 
 use ehs_compress::Algorithm;
 use ehs_model::CacheParams;
-use serde::{Deserialize, Serialize};
 
 /// Data-array segment granularity in bytes.
 pub const SEGMENT_BYTES: u32 = 8;
@@ -65,7 +64,7 @@ pub const SEGMENT_BYTES: u32 = 8;
 pub const TAG_FACTOR: u32 = 2;
 
 /// Per-fill policy decision made by the compression governor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FillMode {
     /// Compress the incoming block (and resident uncompressed blocks if
     /// room is still needed).
@@ -114,7 +113,7 @@ impl CacheConfig {
 }
 
 /// Cumulative hit/miss/traffic counters for one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CacheStats {
     /// Read accesses that hit.
     pub read_hits: u64,
@@ -130,12 +129,10 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Evictions forced by LRU replacement — data-array or tag-array
     /// pressure on a fill, write expansion. A subset of `evictions`.
-    #[serde(default)]
     pub capacity_evictions: u64,
     /// Evictions forced by explicit invalidation (EDBP dead-block
     /// retirement). A subset of `evictions`; together with
     /// `capacity_evictions` it partitions them.
-    #[serde(default)]
     pub forced_evictions: u64,
     /// Evictions of blocks stored compressed.
     pub compressed_evictions: u64,

@@ -57,7 +57,6 @@ use std::fmt;
 use ehs_model::CompressorCost;
 use ehs_model::Cycles;
 use ehs_model::Energy;
-use serde::{Deserialize, Serialize};
 
 pub use bdi::Bdi;
 pub use bpc::Bpc;
@@ -141,7 +140,7 @@ impl From<bitio::Exhausted> for DecodeError {
 /// assert_eq!(Algorithm::Bdi.name(), "BDI");
 /// assert_eq!(Algorithm::ALL.len(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Base-Delta-Immediate (paper default).
     Bdi,
@@ -252,7 +251,7 @@ impl fmt::Display for Algorithm {
 ///
 /// Holds the actual encoded payload (so it can be decompressed and verified)
 /// together with the size the cache's segmented data array must budget for.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedBlock {
     algorithm: Algorithm,
     original_len: u32,

@@ -16,7 +16,6 @@
 //! so a few avoided misses outweigh many wasted decompressions.
 
 use ehs_cache::{FillMode, HitInfo};
-use serde::{Deserialize, Serialize};
 
 use crate::governor::CompressionGovernor;
 
@@ -62,7 +61,7 @@ const GCP_RESET: i32 = 512;
 /// }
 /// assert_eq!(acc.fill_mode(), FillMode::Bypass);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Acc {
     gcp: i32,
 }

@@ -15,10 +15,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How `R_thres` moves up (few evictions) and down (many evictions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdaptScheme {
     /// Additive increase, multiplicative decrease — the paper's choice.
     Aimd,
@@ -65,7 +63,7 @@ impl fmt::Display for AdaptScheme {
 /// // Many evictions: halve.
 /// assert_eq!(aimd.adjust(8, 6), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdAdapter {
     scheme: AdaptScheme,
     /// Additive step as a fraction of the current threshold (default 0.10).

@@ -14,10 +14,9 @@
 //! (compressions per memory op).
 
 use ehs_model::Energy;
-use serde::{Deserialize, Serialize};
 
 /// Workload/compression mix parameters of §III.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionMix {
     /// Fraction of memory operations that access compressed blocks.
     pub a: f64,

@@ -22,13 +22,12 @@ use std::collections::VecDeque;
 
 use ehs_cache::{FillMode, HitInfo};
 use ehs_telemetry::{Event, Registers};
-use serde::{Deserialize, Serialize};
 
 use crate::adapt::ThresholdAdapter;
 use crate::governor::CompressionGovernor;
 
 /// Which of the two §VI-A estimators refines `R_prev`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EstimatorKind {
     /// Use the raw previous-cycle count (Eq. 5 only).
     Simple,
@@ -37,7 +36,7 @@ pub enum EstimatorKind {
 }
 
 /// How Kagura detects the approaching end of a power cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TriggerKind {
     /// Memory-operation countdown (the paper's default; needs no voltage
     /// monitor).
@@ -51,7 +50,7 @@ pub enum TriggerKind {
 }
 
 /// Kagura's operating mode (paper §V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Compression Mode: the inner governor decides.
     Compression,
@@ -60,7 +59,7 @@ pub enum Mode {
 }
 
 /// Configuration of the controller; defaults are the paper's choices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KaguraConfig {
     /// Initial `R_thres` on the very first boot.
     pub initial_thres: u64,

@@ -22,13 +22,12 @@
 //! end (always compress).
 
 use ehs_cache::{FillMode, HitInfo};
-use serde::{Deserialize, Serialize};
 
 use crate::governor::CompressionGovernor;
 
 /// The phase-1 log: per power cycle, the memory-op index after which no
 /// compression proved useful.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OracleTrace {
     switch_points: Vec<u64>,
     /// Total compressing fills observed (for reporting).

@@ -5,8 +5,6 @@
 //! (CACTI), those registers occupy at most 0.000796 mm², i.e. 0.14 % of the
 //! 0.538 mm² core (caches included) reported by McPAT.
 
-use serde::{Deserialize, Serialize};
-
 /// Register-file area per bit at 45 nm, derived from the paper's CACTI
 /// figure (0.000796 mm² for 162 bits).
 pub const MM2_PER_BIT: f64 = 0.000796 / 162.0;
@@ -15,7 +13,7 @@ pub const MM2_PER_BIT: f64 = 0.000796 / 162.0;
 pub const CORE_AREA_MM2: f64 = 0.538;
 
 /// The hardware inventory of one Kagura instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HardwareOverhead {
     /// Number of 32-bit registers (`R_mem`, `R_thres`, `R_prev`,
     /// `R_adjust`, `R_evict`).

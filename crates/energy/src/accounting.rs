@@ -6,11 +6,10 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Index, Sub, SubAssign};
 
 use ehs_model::Energy;
-use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 /// The Fig 16 energy categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnergyCategory {
     /// Block compression on cache fill.
     Compress,
@@ -94,7 +93,7 @@ impl fmt::Display for EnergyCategory {
 /// assert_eq!(b.total().picojoules(), 153.84);
 /// assert_eq!(b[EnergyCategory::Compress].picojoules(), 3.84);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     buckets: [Energy; 6],
 }
@@ -137,9 +136,8 @@ impl EnergyBreakdown {
     }
 
     /// Flat JSON object keyed by [`EnergyCategory::key`], values in
-    /// picojoules — the breakdown's wire format (the vendored serde stub
-    /// is a no-op, so JSON transport is hand-rolled, as for the
-    /// telemetry events).
+    /// picojoules — the breakdown's wire format (JSON transport is
+    /// hand-rolled, as for the telemetry events).
     pub fn to_json(&self) -> Value {
         Value::Object(
             self.iter().map(|(c, e)| (format!("{}_pj", c.key()), e.picojoules().into())).collect(),

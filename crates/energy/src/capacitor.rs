@@ -16,10 +16,9 @@
 //! and reproducing Table III's trend.
 
 use ehs_model::{Energy, Power, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Static description of a capacitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacitorConfig {
     /// Capacitance in farads.
     pub capacitance: f64,
@@ -107,7 +106,7 @@ impl Default for CapacitorConfig {
 /// assert!(cap.stored().nanojoules() > 0.0);
 /// assert!(leaked.picojoules() >= 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Capacitor {
     config: CapacitorConfig,
     stored: Energy,

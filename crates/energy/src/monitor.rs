@@ -14,7 +14,6 @@
 //! technique's gains.
 
 use ehs_model::{Cycles, Energy, Power};
-use serde::{Deserialize, Serialize};
 
 /// Standby draw per tracked threshold (comparator + reference).
 const PER_THRESHOLD_STANDBY: Power = Power::from_watts(0.45e-6);
@@ -37,7 +36,7 @@ const INIT_LATENCY: Cycles = Cycles::new(20);
 /// assert!(kagura.standby_power() > jit.standby_power());
 /// assert_eq!(VoltageMonitor::none().standby_power().watts(), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VoltageMonitor {
     thresholds: u8,
 }

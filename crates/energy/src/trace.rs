@@ -22,7 +22,6 @@ use std::io::{self, BufRead, Write};
 use ehs_model::{Power, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Sampling interval used by the paper's harvester logger: 10 µs.
 pub const TRACE_INTERVAL: SimTime = SimTime::from_micros(10.0);
@@ -84,7 +83,7 @@ impl From<io::Error> for TraceError {
 }
 
 /// Which ambient source a synthetic trace mimics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     /// Bursty home RF harvesting (paper default).
     RfHome,
@@ -127,7 +126,7 @@ impl fmt::Display for TraceKind {
 /// let p = trace.power_at(SimTime::from_millis(1.0));
 /// assert!(p.microwatts() >= 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     samples: Vec<Power>,
 }
@@ -300,7 +299,7 @@ impl PowerTrace {
 }
 
 /// Summary statistics of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Mean harvested power.
     pub mean: Power,

@@ -30,7 +30,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use ehs_model::{Address, BlockData, Cycles, Energy, NvmParams};
-use serde::{Deserialize, Serialize};
 
 pub use image::{ImageKind, MemoryImage};
 
@@ -86,7 +85,7 @@ pub struct NvmWrite {
 }
 
 /// Cumulative NVM traffic counters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NvmStats {
     /// Number of block reads served.
     pub reads: u64,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A byte address in the flat physical address space backed by NVM.
 ///
 /// The EHS address space is small (megabytes), but we keep 64-bit addresses
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.block_base(32).get(), 0x1220);
 /// assert_eq!(a.block_offset(32), 0x14);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(u64);
 
 impl Address {

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Blocks at or below this size live inline in [`BlockData`] — no heap
 /// allocation on clone or drop. 64 B covers every configured block size;
 /// larger blocks (possible through [`BlockData::from_bytes`]) spill to a
@@ -22,7 +20,7 @@ const INLINE_CAP: usize = 64;
 /// are *always* zero (`as_mut_slice` never exposes them). Together these
 /// make the derived `PartialEq`/`Hash` equivalent to comparing/hashing
 /// the live bytes: equal contents imply equal representations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Repr {
     Inline { len: u8, buf: [u8; INLINE_CAP] },
     Heap(Vec<u8>),
@@ -44,7 +42,7 @@ enum Repr {
 /// assert_eq!(block.read_u32(4), 0xDEAD_BEEF);
 /// assert_eq!(block.len(), 32);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BlockData {
     repr: Repr,
 }

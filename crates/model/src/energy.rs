@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// An amount of energy, stored internally in picojoules.
@@ -29,7 +27,7 @@ use crate::time::SimTime;
 /// let four_misses = miss * 4.0;
 /// assert_eq!(four_misses.picojoules(), 600.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {
@@ -204,7 +202,7 @@ impl Sum for Energy {
 /// let leak = Power::from_microwatts(3.0);
 /// assert_eq!((leak * SimTime::from_micros(2.0)).picojoules(), 6.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(f64);
 
 impl Power {

@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Address;
 
 /// Which way a memory operation moves data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOpKind {
     /// A 4-byte read.
     Load,
@@ -32,7 +30,7 @@ impl fmt::Display for MemOpKind {
 }
 
 /// What an instruction does, independent of where it lives in code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstKind {
     /// Load 4 bytes from `addr`.
     Load {
@@ -86,7 +84,7 @@ impl InstKind {
 /// assert_eq!(inst.kind.mem_op(), Some(MemOpKind::Load));
 /// assert_eq!(inst.pc, Address::new(0x400));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// Code address the instruction is fetched from (drives the ICache).
     pub pc: Address,

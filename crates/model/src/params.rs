@@ -7,13 +7,11 @@
 //! remaining constants are chosen to plausible 45 nm LOP magnitudes and are
 //! documented in DESIGN.md.
 
-use serde::{Deserialize, Serialize};
-
 use crate::energy::{Energy, Power};
 use crate::time::Cycles;
 
 /// Parameters of the in-order core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreParams {
     /// Clock frequency in hertz.
     pub clock_hz: f64,
@@ -35,7 +33,7 @@ impl Default for CoreParams {
 }
 
 /// Geometry and cost parameters of one SRAM cache (ICache or DCache).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheParams {
     /// Total data capacity in bytes.
     pub size_bytes: u32,
@@ -114,7 +112,7 @@ impl Default for CacheParams {
 }
 
 /// The nonvolatile main-memory technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NvmKind {
     /// Resistive RAM (paper default).
     ReRam,
@@ -149,7 +147,7 @@ impl std::fmt::Display for NvmKind {
 /// Latency/energy are per *block* transfer (one cache line). The ReRAM
 /// defaults derive from Table I's DDR-style timing (tRCD 18 ns + tCL 15 ns +
 /// burst ≈ 10 cycles at 200 MHz; tWR 150 ns ≈ 30 cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvmParams {
     /// Technology.
     pub kind: NvmKind,
@@ -203,7 +201,7 @@ impl Default for NvmParams {
 ///
 /// The BDI numbers come from paper Table I; the others are extrapolated in
 /// proportion to hardware complexity (see DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressorCost {
     /// Energy to compress one block on fill.
     pub compress_energy: Energy,
@@ -234,7 +232,7 @@ impl Default for CompressorCost {
 }
 
 /// The hardware parameter bundle shared by all EHS designs.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SystemParams {
     /// Core parameters.
     pub core: CoreParams,

@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Core clock frequency in hertz (200 MHz, paper Table I).
 pub const CLOCK_HZ: f64 = 200.0e6;
 
@@ -24,9 +22,7 @@ pub const CLOCK_HZ: f64 = 200.0e6;
 /// let miss_penalty = Cycles::new(10);
 /// assert_eq!((hit + miss_penalty).get(), 11);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -116,7 +112,7 @@ impl From<u64> for Cycles {
 /// let window = SimTime::from_micros(10.0);
 /// assert!((window.seconds() - 1e-5).abs() < 1e-18);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -5,13 +5,12 @@ use ehs_cache::CacheStats;
 use ehs_energy::EnergyBreakdown;
 use ehs_mem::NvmStats;
 use ehs_model::{Cycles, Energy, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Kagura's register snapshot `(R_prev, R_mem, R_adjust, R_thres, R_evict)`.
 pub type KaguraRegisters = (u64, u64, i64, u64, u64);
 
 /// What happened during one power cycle (reboot → power failure).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CycleRecord {
     /// Committed instructions.
     pub insts: u64,
@@ -37,7 +36,7 @@ impl CycleRecord {
 /// Fig 12's neighbouring-power-cycle consistency metrics for one metric
 /// stream: mean relative difference between consecutive cycles, and the
 /// fraction of neighbour pairs differing by less than 20 %.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsistencyReport {
     /// Mean |x_{i+1} − x_i| / max(x_i, 1) over neighbouring cycles.
     pub mean_diff: f64,
@@ -65,7 +64,7 @@ fn consistency(values: impl Iterator<Item = f64> + Clone) -> ConsistencyReport {
 }
 
 /// Full results of one simulation run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimStats {
     /// The program ran to completion (vs hitting the simulated-time guard).
     pub completed: bool,
@@ -84,7 +83,6 @@ pub struct SimStats {
     pub power_cycles: Vec<CycleRecord>,
     /// Number of completed power cycles, maintained whether or not the
     /// per-cycle records above were kept.
-    #[serde(default)]
     pub power_cycle_count: u64,
     /// Number of JIT checkpoints (= power failures seen while running).
     pub checkpoints: u64,
@@ -108,17 +106,14 @@ pub struct SimStats {
     /// were dropped — *detected* consistency violations. Always zero in
     /// real runs; nonzero only under an injected
     /// [`crate::machine::FaultKind::CorruptPayload`] fault.
-    #[serde(default)]
     pub decode_faults: u64,
     /// Power cycles whose energy-ledger row failed its conservation
     /// audit (`harvested ≠ Σ consumed + Δstored` beyond tolerance).
     /// Always zero on healthy traces; see `ehs_energy::ledger`.
-    #[serde(default)]
     pub ledger_violations: u64,
     /// Why the cooperative watchdog cancelled the run, when it did
     /// ([`StepBudget`](crate::config::StepBudget)); `None` for runs that
     /// ended naturally. A cancelled run always has `completed == false`.
-    #[serde(default)]
     pub budget_exhausted: Option<String>,
     /// Final Kagura registers and RM-entry count, when the governor was
     /// Kagura.

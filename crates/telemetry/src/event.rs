@@ -4,9 +4,11 @@
 //! the power cycle it occurred in, then serialized as one *flat* JSON
 //! object — `{"t_us":…,"cycle":…,"kind":"ModeSwitch",…fields}` — so a
 //! JSONL stream greps cleanly and round-trips losslessly through
-//! [`Stamped::to_value`] / [`Stamped::from_value`].
+//! [`Stamped::to_value`] / [`Stamped::from_value_strict`].
 
 use serde_json::Value;
+
+use crate::stream;
 
 /// Kagura's register snapshot carried by [`Event::ModeSwitch`]:
 /// `(R_prev, R_mem, R_adjust, R_thres, R_evict)` at the switch.
@@ -355,29 +357,15 @@ impl Event {
         }
     }
 
-    /// Rebuilds an event from its `kind` and a flat field object.
-    /// Returns `None` for unknown kinds or missing/mistyped fields.
-    pub fn from_kind_fields(kind: &str, obj: &Value) -> Option<Event> {
-        Event::from_kind_fields_strict(kind, obj).ok()
-    }
-
-    /// Like [`Event::from_kind_fields`], but on malformed input the error
-    /// names the offending field (missing, mistyped, or out of range) so
-    /// strict stream parsers can point at the exact defect.
+    /// Rebuilds an event from its `kind` and a flat field object; on
+    /// malformed input the error names the offending field (missing,
+    /// mistyped, or out of range) so stream parsers can point at the
+    /// exact defect.
     pub fn from_kind_fields_strict(kind: &str, obj: &Value) -> Result<Event, String> {
-        fn field<'a>(obj: &'a Value, k: &str) -> Result<&'a Value, String> {
-            obj.get(k).ok_or_else(|| format!("missing field `{k}`"))
-        }
-        let u = |k: &str| {
-            field(obj, k)?.as_u64().ok_or_else(|| format!("field `{k}` is not an unsigned integer"))
-        };
-        let f =
-            |k: &str| field(obj, k)?.as_f64().ok_or_else(|| format!("field `{k}` is not a number"));
-        let b = |k: &str| {
-            field(obj, k)?.as_bool().ok_or_else(|| format!("field `{k}` is not a boolean"))
-        };
-        let s =
-            |k: &str| field(obj, k)?.as_str().ok_or_else(|| format!("field `{k}` is not a string"));
+        let u = |k: &str| stream::u64(obj, k);
+        let f = |k: &str| stream::f64(obj, k);
+        let b = |k: &str| stream::bool(obj, k);
+        let s = |k: &str| stream::str(obj, k);
         Ok(match kind {
             "PowerFailure" => Event::PowerFailure { insts: u("insts")?, voltage: f("voltage")? },
             "Reboot" => Event::Reboot { charge_us: f("charge_us")?, voltage: f("voltage")? },
@@ -387,9 +375,7 @@ impl Event {
                 registers: Registers {
                     r_prev: u("r_prev")?,
                     r_mem: u("r_mem")?,
-                    r_adjust: field(obj, "r_adjust")?
-                        .as_i64()
-                        .ok_or_else(|| "field `r_adjust` is not an integer".to_string())?,
+                    r_adjust: stream::i64(obj, "r_adjust")?,
                     r_thres: u("r_thres")?,
                     r_evict: u("r_evict")?,
                 },
@@ -490,33 +476,28 @@ impl Stamped {
         Value::Object(members)
     }
 
-    /// Inverse of [`Stamped::to_value`]; `None` on malformed input.
-    pub fn from_value(v: &Value) -> Option<Stamped> {
-        Stamped::from_value_strict(v).ok()
-    }
-
-    /// Like [`Stamped::from_value`], but the error names the offending
-    /// field (stamp fields included), for strict stream parsers that
-    /// report defects instead of swallowing them.
+    /// Inverse of [`Stamped::to_value`]; the error names the offending
+    /// field (stamp fields included).
     pub fn from_value_strict(v: &Value) -> Result<Stamped, String> {
-        let kind = v
-            .get("kind")
-            .ok_or_else(|| "missing field `kind`".to_string())?
-            .as_str()
-            .ok_or_else(|| "field `kind` is not a string".to_string())?;
+        let kind = stream::str(v, "kind")?;
         Ok(Stamped {
-            t_us: v
-                .get("t_us")
-                .ok_or_else(|| "missing field `t_us`".to_string())?
-                .as_f64()
-                .ok_or_else(|| "field `t_us` is not a number".to_string())?,
-            cycle: v
-                .get("cycle")
-                .ok_or_else(|| "missing field `cycle`".to_string())?
-                .as_u64()
-                .ok_or_else(|| "field `cycle` is not an unsigned integer".to_string())?,
+            t_us: stream::f64(v, "t_us")?,
+            cycle: stream::u64(v, "cycle")?,
             event: Event::from_kind_fields_strict(kind, v)?,
         })
+    }
+
+    /// Strictly decodes a JSONL event stream — what
+    /// [`JsonlSink`](crate::JsonlSink) writes, e.g. `flight_<app>.jsonl` —
+    /// under the [`stream::FLIGHT`] grammar; the error carries the
+    /// 1-based line and names the offending field.
+    pub fn from_jsonl(text: &str) -> Result<Vec<Stamped>, (usize, String)> {
+        let mut events = Vec::new();
+        stream::read_str(text, stream::FLIGHT, |_, v| {
+            events.push(Stamped::from_value_strict(v)?);
+            Ok(())
+        })?;
+        Ok(events)
     }
 }
 
@@ -606,7 +587,7 @@ mod tests {
         ];
         for (i, event) in all.into_iter().enumerate() {
             let s = Stamped { t_us: i as f64 + 0.125, cycle: i as u64, event };
-            let back = Stamped::from_value(&s.to_value()).expect("round trip");
+            let back = Stamped::from_value_strict(&s.to_value()).expect("round trip");
             assert_eq!(back, s);
         }
     }
@@ -663,16 +644,24 @@ mod tests {
                 }
             }
         }
-        assert!(Stamped::from_value(&v).is_none());
+        let err = Stamped::from_value_strict(&v);
+        assert!(err.is_err());
+        assert!(err.unwrap_err().contains("`mode`"));
     }
 
     #[test]
     fn malformed_values_are_rejected_not_panicked() {
-        assert!(Stamped::from_value(&Value::Null).is_none());
+        let null = Stamped::from_value_strict(&Value::Null);
+        assert!(null.is_err());
+        assert!(null.unwrap_err().contains("`kind`"));
         let missing = serde_json::json!({"t_us": 1.0, "cycle": 0, "kind": "Eviction"});
-        assert!(Stamped::from_value(&missing).is_none());
+        let missing = Stamped::from_value_strict(&missing);
+        assert!(missing.is_err());
+        assert!(missing.unwrap_err().contains("`count`"));
         let unknown = serde_json::json!({"t_us": 1.0, "cycle": 0, "kind": "Nope"});
-        assert!(Stamped::from_value(&unknown).is_none());
+        let unknown = Stamped::from_value_strict(&unknown);
+        assert!(unknown.is_err());
+        assert!(unknown.unwrap_err().contains("`Nope`"));
     }
 
     #[test]

@@ -29,6 +29,9 @@
 //!   are exactly associative; fleet campaigns stream per-cell metrics
 //!   through it for constant-memory population quantiles and bootstrap
 //!   confidence intervals.
+//! * [`stream`] — the one strict reader for every JSONL artifact stream
+//!   (flight records, cachescope, leakscope, fleet): line grammar,
+//!   dotted-path field accessors, `file:line` diagnostics, discovery.
 //! * [`spans`] — process-wide wall-clock spans (per experiment, per
 //!   simulation job) with the worker slot that ran them; drained by the
 //!   bench harness into `BENCH_harness.json`.
@@ -47,6 +50,7 @@ pub mod metrics;
 pub mod sampler;
 pub mod sink;
 pub mod spans;
+pub mod stream;
 
 pub use event::{Event, FlightRecord, Registers, Stamped};
 pub use fixed::FixedSum;

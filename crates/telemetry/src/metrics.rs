@@ -6,6 +6,7 @@
 //! index — no hashing on the hot path.
 
 use crate::fixed::FixedSum;
+use crate::stream;
 use serde_json::Value;
 
 /// Handle to a monotonically increasing counter.
@@ -144,20 +145,10 @@ impl Histogram {
     /// Returns `Err` naming the offending field when the value is
     /// missing, mistyped, or the counts length disagrees with bounds.
     pub fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let bits = |path: &str| -> Result<f64, String> {
-            v.get(path)
-                .and_then(Value::as_u64)
-                .map(f64::from_bits)
-                .ok_or_else(|| format!("histogram field `{path}` is not a u64"))
-        };
         let u64s = |path: &str| -> Result<Vec<u64>, String> {
-            v.get(path)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("histogram field `{path}` is not an array"))?
+            stream::arr(v, path)?
                 .iter()
-                .map(|x| {
-                    x.as_u64().ok_or_else(|| format!("histogram field `{path}` has a non-u64"))
-                })
+                .map(|x| x.as_u64().ok_or_else(|| format!("field `{path}` has a non-u64 entry")))
                 .collect()
         };
         let bounds: Vec<f64> = u64s("bounds_bits")?.into_iter().map(f64::from_bits).collect();
@@ -169,16 +160,13 @@ impl Histogram {
                 bounds.len()
             ));
         }
-        let total = v
-            .get("total")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| "histogram field `total` is not a u64".to_string())?;
-        let sum = FixedSum::from_decimal(
-            v.get("sum_fixed")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "histogram field `sum_fixed` is not a string".to_string())?,
-        )?;
-        Ok(Histogram { bounds, counts, total, sum, max: bits("max_bits")? })
+        Ok(Histogram {
+            bounds,
+            counts,
+            total: stream::u64(v, "total")?,
+            sum: FixedSum::from_decimal(stream::str(v, "sum_fixed")?)?,
+            max: f64::from_bits(stream::u64(v, "max_bits")?),
+        })
     }
 
     /// `(upper_bound, count)` rows; the final row uses `f64::INFINITY`.

@@ -21,6 +21,7 @@
 //! [`Histogram`]: crate::metrics::Histogram
 
 use crate::fixed::FixedSum;
+use crate::stream;
 use serde_json::Value;
 
 /// splitmix64 finalizer: a cheap, well-distributed 64-bit mixer.
@@ -200,19 +201,11 @@ impl Reservoir {
     /// mistyped value, and rejects entry lists that are unsorted,
     /// duplicated or over capacity (a corrupt journal record).
     pub fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let u = |path: &str| -> Result<u64, String> {
-            v.get(path)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("reservoir field `{path}` is not a u64"))
-        };
-        let capacity = u("capacity")? as usize;
+        let capacity = stream::u64(v, "capacity")? as usize;
         if capacity == 0 {
             return Err("reservoir field `capacity` must be non-zero".into());
         }
-        let raw = v
-            .get("entries")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "reservoir field `entries` is not an array".to_string())?;
+        let raw = stream::arr(v, "entries")?;
         let mut entries = Vec::with_capacity(raw.len());
         for (i, e) in raw.iter().enumerate() {
             let triple = e.as_array().filter(|t| t.len() == 3).ok_or_else(|| {
@@ -239,17 +232,13 @@ impl Reservoir {
             return Err("reservoir `entries` are not strictly sorted by (priority, key)".into());
         }
         Ok(Reservoir {
-            seed: u("seed")?,
+            seed: stream::u64(v, "seed")?,
             capacity,
             entries,
-            seen: u("seen")?,
-            sum: FixedSum::from_decimal(
-                v.get("sum_fixed")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "reservoir field `sum_fixed` is not a string".to_string())?,
-            )?,
-            min: f64::from_bits(u("min_bits")?),
-            max: f64::from_bits(u("max_bits")?),
+            seen: stream::u64(v, "seen")?,
+            sum: FixedSum::from_decimal(stream::str(v, "sum_fixed")?)?,
+            min: f64::from_bits(stream::u64(v, "min_bits")?),
+            max: f64::from_bits(stream::u64(v, "max_bits")?),
         })
     }
 }

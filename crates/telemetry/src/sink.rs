@@ -129,7 +129,8 @@ impl Sink for RingSink {
     }
 }
 
-/// Streams one compact JSON object per event, newline-delimited.
+/// Streams one compact JSON object per event, newline-delimited;
+/// [`Stamped::from_jsonl`] reads the stream back strictly.
 ///
 /// Write errors are held (not panicked) and surfaced by
 /// [`JsonlSink::error`]; subsequent records are dropped.
@@ -182,16 +183,6 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 }
 
-/// Parses a JSONL stream produced by [`JsonlSink`] back into events.
-/// Lines that fail to parse are skipped.
-pub fn parse_jsonl(text: &str) -> Vec<Stamped> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str(l).ok())
-        .filter_map(|v| Stamped::from_value(&v))
-        .collect()
-}
-
 /// Builds a Chrome trace-event file (the JSON object format with a
 /// `traceEvents` array), loadable in Perfetto / `chrome://tracing`.
 ///
@@ -242,7 +233,7 @@ impl ChromeTraceSink {
                 Some(Stamped {
                     t_us: r.get("ts")?.as_f64()?,
                     cycle: args.get("cycle")?.as_u64()?,
-                    event: Event::from_kind_fields(kind, args)?,
+                    event: Event::from_kind_fields_strict(kind, args).ok()?,
                 })
             })
             .collect()

@@ -2,7 +2,6 @@
 //! transports — a known event sequence written through either sink
 //! parses back to exactly the original `Stamped` values.
 
-use ehs_telemetry::sink::parse_jsonl;
 use ehs_telemetry::{ChromeTraceSink, Event, JsonlSink, Registers, Sink, Stamped};
 
 /// Two full power cycles exercising every event variant.
@@ -64,7 +63,7 @@ fn jsonl_sink_round_trips_a_known_sequence() {
     assert!(sink.error().is_none());
     let text = String::from_utf8(sink.into_inner()).unwrap();
     assert_eq!(text.lines().count(), events.len());
-    assert_eq!(parse_jsonl(&text), events);
+    assert_eq!(Stamped::from_jsonl(&text).unwrap(), events);
 }
 
 #[test]
