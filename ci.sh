@@ -191,6 +191,12 @@ expect_exit 3 "$SIMRUN" sha --governor zorp       # config: bad enum value
 expect_exit 3 "$SIMRUN" nosuchapp                 # config: unknown app
 expect_exit 2 "$REPRO" --scael 1                  # usage: misspelled flag
 expect_exit 3 "$REPRO" nosuchexperiment           # config: unknown experiment
+expect_exit 3 "$SIMRUN" sha --cache 7             # config: inconsistent cache geometry
+expect_exit 3 "$SIMRUN" sha --cap 0               # config: non-positive capacitance
+cargo build --release --offline -q -p kagura-bench --bin simbench --bin bench --bin tracegen
+expect_exit 2 target/release/simbench --scael 1   # usage: misspelled flag
+expect_exit 2 target/release/bench --scael 1      # usage: misspelled flag
+expect_exit 2 target/release/tracegen gen rf 10 --sed 3  # usage: misspelled flag
 echo "exit codes distinguish usage/config/runtime failures"
 
 echo "== serve gate (long-running what-if service) =="
@@ -253,6 +259,13 @@ assert not r["ok"] and r["error"]["kind"] == "budget_exhausted", r
 assert r["error"]["executed_insts"] >= 50, r
 _, h = rpc('{"op":"health","id":"h"}')
 assert h["health"]["status"] == "ok", h
+
+# simrun's vocabulary: a bad geometry is a typed bad_request, and every
+# governor simrun accepts is accepted here too.
+_, r = rpc('{"op":"query","id":"geom","app":"sha","cache":7}')
+assert not r["ok"] and r["error"]["kind"] == "bad_request", r
+_, r = rpc('{"op":"query","id":"rt","app":"sha","scale":0.004,"governor":"rand-threshold"}')
+assert r["ok"], r
 
 _, m = rpc('{"op":"metrics","id":"m"}')
 counters = {c["name"]: c["value"] for c in m["metrics"]["registry"]["counters"]}

@@ -21,6 +21,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ehs_telemetry::spans;
+use kagura_bench::cli::{self, CliError, FlagSpec};
 use kagura_bench::experiments::find;
 use kagura_bench::ExpContext;
 use serde_json::{json, Value};
@@ -35,54 +36,18 @@ fn time_summary(ctx: &ExpContext, jobs: usize) -> (f64, Value) {
     (start.elapsed().as_secs_f64(), spans::to_json(&spans::drain()))
 }
 
-fn main() -> ExitCode {
-    let mut scale = 0.05f64;
-    let mut out = String::from("BENCH_harness.json");
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut jobs = cores;
+/// Every flag `bench` understands.
+const FLAGS: &[FlagSpec] =
+    &[FlagSpec::value("--scale"), FlagSpec::value("--jobs"), FlagSpec::value("--out")];
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(v) if v > 0.0 => scale = v,
-                    _ => {
-                        eprintln!("--scale needs a positive number");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => jobs = n,
-                    _ => {
-                        eprintln!("--jobs needs a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) => out = f.clone(),
-                    None => {
-                        eprintln!("--out needs a file path");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!("usage: bench [--scale S] [--jobs N] [--out FILE]");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+fn run() -> Result<(), CliError> {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::parse(&raw, FLAGS, 0)
+        .inspect_err(|_| eprintln!("usage: bench [--scale S] [--jobs N] [--out FILE]"))?;
+    let scale = args.positive("--scale")?.unwrap_or(0.05f64);
+    let out = args.str("--out").unwrap_or("BENCH_harness.json");
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let jobs = args.positive("--jobs")?.unwrap_or(cores);
 
     let ctx = ExpContext {
         scale,
@@ -131,11 +96,18 @@ fn main() -> ExitCode {
         },
     });
     let text = serde_json::to_string_pretty(&report).expect("serializable");
-    if let Err(e) = kagura_bench::fsutil::atomic_write(std::path::Path::new(&out), text.as_bytes())
-    {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    kagura_bench::fsutil::atomic_write(std::path::Path::new(out), text.as_bytes())
+        .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
     println!("[saved {out}]");
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("bench: {e}");
+            ExitCode::from(e.exit_code())
+        }
+    }
 }

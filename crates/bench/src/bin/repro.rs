@@ -65,27 +65,31 @@ use std::time::Duration;
 
 use ehs_telemetry::spans;
 use ehs_workloads::App;
+use kagura_bench::cli::{self, lookup, CliError, FlagSpec};
 use kagura_bench::experiments::{find, ExpFn, REGISTRY};
 use kagura_bench::journal::RunJournal;
 use kagura_bench::{fsutil, ExpContext};
 
-/// Every flag `repro` understands, for near-miss suggestions on typos.
-const KNOWN_FLAGS: &[&str] = &[
-    "--scale",
-    "--apps",
-    "--jobs",
-    "--out",
-    "--telemetry",
-    "--resume",
-    "--job-timeout",
-    "--job-max-insts",
-    "--audit-strict",
-    "--quiet",
-    "--fleet-size",
-    "--fleet-seed",
-    "--fleet-shard",
-    "--list",
-    "--help",
+/// Every flag `repro` understands.
+const FLAGS: &[FlagSpec] = &[
+    FlagSpec::value("--scale"),
+    FlagSpec::value("--apps"),
+    FlagSpec::value("--jobs"),
+    FlagSpec::value("--out"),
+    FlagSpec::value("--telemetry"),
+    FlagSpec::value("--resume"),
+    FlagSpec::value("--job-timeout"),
+    FlagSpec::value("--job-max-insts"),
+    FlagSpec::switch("--audit-strict"),
+    FlagSpec::switch("--quiet"),
+    FlagSpec::switch("-q"),
+    FlagSpec::value("--fleet-size"),
+    FlagSpec::value("--fleet-seed"),
+    FlagSpec::value("--fleet-shard"),
+    FlagSpec::switch("--list"),
+    FlagSpec::switch("-l"),
+    FlagSpec::switch("--help"),
+    FlagSpec::switch("-h"),
 ];
 
 fn usage() {
@@ -107,206 +111,83 @@ fn list() {
     }
 }
 
-fn main() -> ExitCode {
-    // Exit codes follow kagura_bench::cli::CliError: 2 for usage errors
-    // (the command line never parsed), 3 for configuration errors (it
-    // parsed but names something invalid — unknown app/experiment,
-    // mismatched resume fingerprint), 1 for runtime failures.
-    const EXIT_USAGE: u8 = 2;
-    const EXIT_CONFIG: u8 = 3;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+fn run() -> Result<(), CliError> {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::parse(&raw, FLAGS, usize::MAX)?;
+    let mut ids: Vec<&str> = args.positionals().to_vec();
+    if args.has("--list") || args.has("-l") || ids.contains(&"list") {
+        list();
+        return Ok(());
+    }
+    if args.has("--help") || args.has("-h") || ids.contains(&"help") {
         usage();
-        return ExitCode::from(EXIT_USAGE);
+        return Ok(());
     }
 
     // `repro explain DIR` is a pure renderer over already-dumped flight
-    // streams: no simulation, no journal — dispatch before flag parsing.
-    if args[0] == "explain" {
-        let Some(dir) = args.get(1) else {
-            eprintln!("usage: repro explain RESULTS_DIR");
-            return ExitCode::from(EXIT_USAGE);
+    // streams: no simulation, no journal.
+    if ids.first() == Some(&"explain") {
+        let [_, dir] = ids[..] else {
+            return Err(CliError::Usage("explain needs one results directory".into()));
         };
-        return match kagura_bench::explain::explain_dir(std::path::Path::new(dir)) {
-            Ok(n) => {
-                eprintln!("[explain] rendered {n} report(s) from {dir}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("explain: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let n = kagura_bench::explain::explain_dir(std::path::Path::new(dir))
+            .map_err(CliError::Runtime)?;
+        eprintln!("[explain] rendered {n} report(s) from {dir}");
+        return Ok(());
     }
 
-    let mut ids: Vec<String> = Vec::new();
     let mut ctx = ExpContext::default();
-    let mut resume = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--scale needs a positive number");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                if v <= 0.0 {
-                    eprintln!("--scale needs a positive number");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                ctx.scale = v;
-            }
-            "--apps" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    eprintln!("--apps needs a comma-separated list");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                let mut apps = Vec::new();
-                for name in spec.split(',') {
-                    match App::from_name(name.trim()) {
-                        Some(a) => apps.push(a),
-                        None => {
-                            eprintln!("unknown app {name:?}; known apps:");
-                            for a in App::ALL {
-                                eprint!(" {a}");
-                            }
-                            eprintln!();
-                            return ExitCode::from(EXIT_CONFIG);
-                        }
-                    }
-                }
-                ctx.apps = apps.clone();
-                ctx.sens_apps = apps;
-            }
-            "--jobs" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                if n == 0 {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                ehs_sim::parallel::set_max_workers(n);
-            }
-            "--out" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.out_dir = dir.into();
-            }
-            "--telemetry" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--telemetry needs a directory");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.telemetry_dir = Some(dir.into());
-            }
-            "--resume" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--resume needs the results directory of the interrupted run");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                resume = true;
-                ctx.out_dir = dir.into();
-            }
-            "--job-timeout" => {
-                i += 1;
-                let Some(secs) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--job-timeout needs a positive number of seconds");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                if secs <= 0.0 {
-                    eprintln!("--job-timeout needs a positive number of seconds");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                ctx.job_budget.max_wall = Some(Duration::from_secs_f64(secs));
-            }
-            "--job-max-insts" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--job-max-insts needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                if n == 0 {
-                    eprintln!("--job-max-insts needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                ctx.job_budget.max_executed_insts = Some(n);
-            }
-            "--fleet-size" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()).filter(|&n| n > 0)
-                else {
-                    eprintln!("--fleet-size needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.fleet.population = n;
-            }
-            "--fleet-seed" => {
-                i += 1;
-                let Some(s) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--fleet-seed needs an unsigned integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.fleet.seed = s;
-            }
-            "--fleet-shard" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()).filter(|&n| n > 0)
-                else {
-                    eprintln!("--fleet-shard needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.fleet.shard_size = n;
-            }
-            "--audit-strict" => ctx.audit_strict = true,
-            "--quiet" | "-q" => ctx.quiet = true,
-            "list" | "--list" | "-l" => {
-                list();
-                return ExitCode::SUCCESS;
-            }
-            "help" | "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            // Anything flag-shaped but unrecognized is a hard error
-            // naming the nearest valid flag — a misspelled option must
-            // not silently become an "experiment id" and fail later (or
-            // worse, be dropped while the run proceeds without it).
-            other if other.starts_with('-') => {
-                eprintln!("repro: {}", kagura_bench::cli::unknown_flag_error(other, KNOWN_FLAGS));
-                return ExitCode::from(EXIT_USAGE);
-            }
-            other => ids.push(other.to_string()),
-        }
-        i += 1;
+    if let Some(scale) = args.positive("--scale")? {
+        ctx.scale = scale;
     }
-    ctx.resume = resume;
+    if let Some(spec) = args.str("--apps") {
+        let names = App::ALL.map(App::name);
+        let apps: Vec<App> = spec
+            .split(',')
+            .map(|name| lookup("app", name.trim(), App::from_name, &names))
+            .collect::<Result<_, _>>()
+            .map_err(CliError::Config)?;
+        ctx.apps = apps.clone();
+        ctx.sens_apps = apps;
+    }
+    if let Some(n) = args.positive("--jobs")? {
+        ehs_sim::parallel::set_max_workers(n);
+    }
+    ctx.resume = args.has("--resume");
+    if let Some(dir) = args.str("--resume").or(args.str("--out")) {
+        ctx.out_dir = dir.into();
+    }
+    ctx.telemetry_dir = args.str("--telemetry").map(Into::into);
+    ctx.job_budget.max_wall = args.positive("--job-timeout")?.map(Duration::from_secs_f64);
+    ctx.job_budget.max_executed_insts = args.positive("--job-max-insts")?;
+    if let Some(n) = args.positive("--fleet-size")? {
+        ctx.fleet.population = n;
+    }
+    if let Some(seed) = args.num("--fleet-seed")? {
+        ctx.fleet.seed = seed;
+    }
+    if let Some(n) = args.positive("--fleet-shard")? {
+        ctx.fleet.shard_size = n;
+    }
+    ctx.audit_strict = args.has("--audit-strict");
+    ctx.quiet = args.has("--quiet") || args.has("-q");
+    let resume = ctx.resume;
 
-    if ids.iter().any(|i| i == "all") {
-        ids = REGISTRY.iter().map(|&(id, _, _)| id.to_string()).collect();
+    if ids.contains(&"all") {
+        ids = REGISTRY.iter().map(|&(id, _, _)| id).collect();
     }
     if ids.is_empty() {
         usage();
-        return ExitCode::from(EXIT_USAGE);
+        return Err(CliError::Usage("no experiment given".into()));
     }
 
     // Resolve every id before running anything, so a typo fails fast
     // instead of after hours of simulation.
     let mut runs: Vec<(&str, ExpFn)> = Vec::new();
     for id in &ids {
-        let Some(f) = find(id) else {
-            eprintln!("unknown experiment {id:?} (try `repro list`)");
-            return ExitCode::from(EXIT_CONFIG);
-        };
+        let f = find(id).ok_or_else(|| {
+            CliError::Config(format!("unknown experiment {id:?} (try `repro list`)"))
+        })?;
         runs.push((id, f));
     }
 
@@ -323,24 +204,15 @@ fn main() -> ExitCode {
         },
     });
     let journal = if resume {
-        match RunJournal::resume(&ctx.out_dir, fingerprint) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("cannot resume: {e}");
-                return ExitCode::from(EXIT_CONFIG);
-            }
-        }
+        RunJournal::resume(&ctx.out_dir, fingerprint)
+            .map_err(|e| CliError::Config(format!("cannot resume: {e}")))?
     } else {
         // A stale manifest from an earlier run in the same directory must
         // not survive into this run's output tree.
         let _ = std::fs::remove_file(ctx.out_dir.join("failures.json"));
-        match RunJournal::create(&ctx.out_dir, fingerprint) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("cannot start journal in {}: {e}", ctx.out_dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        RunJournal::create(&ctx.out_dir, fingerprint).map_err(|e| {
+            CliError::Runtime(format!("cannot start journal in {}: {e}", ctx.out_dir.display()))
+        })?
     };
     if resume {
         match fsutil::sweep_tmp_files(&ctx.out_dir) {
@@ -428,10 +300,7 @@ fn main() -> ExitCode {
         let path = ctx.out_dir.join("failures.json");
         let doc = serde_json::json!({ "failures": failures });
         let text = serde_json::to_string_pretty(&doc).expect("serializable");
-        if let Err(e) = fsutil::atomic_write(&path, text.as_bytes()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write(&path, text.as_bytes())?;
         println!("  [{n_failures} failed cell(s); manifest in {}]", path.display());
     }
     // Under `--audit-strict` the run's contract is "every cell balanced
@@ -440,26 +309,20 @@ fn main() -> ExitCode {
     // fails the whole invocation.
     let total_violations = run_violations.load(Ordering::Relaxed);
     if ctx.audit_strict && (total_violations > 0 || n_failures > 0) {
-        eprintln!(
+        return Err(CliError::Runtime(format!(
             "audit-strict: {total_violations} ledger violation(s), {n_failures} failed cell(s) — \
              failing the run"
-        );
-        return ExitCode::FAILURE;
+        )));
     }
 
     if let Some(dir) = &ctx.telemetry_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| CliError::Runtime(format!("cannot create {}: {e}", dir.display())))?;
         let path = dir.join("spans.json");
         let doc = spans::to_json(&spans::drain());
         match serde_json::to_string_pretty(&doc) {
             Ok(text) => {
-                if let Err(e) = fsutil::atomic_write(&path, text.as_bytes()) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
+                write(&path, text.as_bytes())?;
                 println!("  [timing spans in {}]", path.display());
             }
             Err(e) => eprintln!("cannot serialize spans: {e}"),
@@ -477,20 +340,34 @@ fn main() -> ExitCode {
                 })
                 .collect();
             let path = dir.join("pool_events.jsonl");
-            if let Err(e) = fsutil::atomic_write(&path, lines.as_bytes()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write(&path, lines.as_bytes())?;
             println!("  [{} pool event(s) in {}]", events.len(), path.display());
         }
         let metrics = ehs_sim::parallel::pool_metrics().to_json();
         let path = dir.join("pool_metrics.json");
         let text = serde_json::to_string_pretty(&metrics).expect("serializable");
-        if let Err(e) = fsutil::atomic_write(&path, text.as_bytes()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write(&path, text.as_bytes())?;
         println!("  [pool metrics in {}]", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Writes one artifact atomically.
+fn write(path: &std::path::Path, bytes: &[u8]) -> Result<(), CliError> {
+    fsutil::atomic_write(path, bytes)
+        .map_err(|e| CliError::Runtime(format!("cannot write {}: {e}", path.display())))
+}
+
+fn main() -> ExitCode {
+    // Exit codes follow kagura_bench::cli::CliError: 2 for usage errors
+    // (the command line never parsed), 3 for configuration errors (it
+    // parsed but names something invalid — unknown app/experiment, bad
+    // value, mismatched resume fingerprint), 1 for runtime failures.
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            ExitCode::from(e.exit_code())
+        }
+    }
 }

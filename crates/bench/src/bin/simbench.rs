@@ -3,7 +3,7 @@
 //! ```text
 //! simbench [--scale S] [--apps a,b,..] [--repeat N] [--out FILE]
 //!          [--check FILE] [--max-regression R] [--skip-reference]
-//!          [--governor nocompression|alwayscompress|acc|acckagura]
+//!          [--governor G]
 //! ```
 //!
 //! For each app, times one complete single-thread run under both exec
@@ -18,6 +18,9 @@
 //! fast-path IPS (default `R` = 0.30); otherwise the exit code is
 //! non-zero. IPS is close to scale-invariant, so the gate can run at a
 //! smaller `--scale` than the committed artifact.
+//!
+//! `--governor` takes any name `simrun --governor` does (default
+//! `AccKagura`, an alias of `kagura`); the report records it as given.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -25,6 +28,7 @@ use std::time::Instant;
 use ehs_energy::PowerTrace;
 use ehs_sim::{ExecMode, GovernorSpec, SimConfig, Simulator};
 use ehs_workloads::App;
+use kagura_bench::cli::{self, lookup, CliError, FlagSpec};
 use serde_json::{json, Value};
 
 /// Power-trace length shared by every timed run (the runner's default).
@@ -64,21 +68,20 @@ fn saturated_ips(app: App, scale: f64, cfg: &SimConfig, trace: &PowerTrace, core
     total as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Every flag `simbench` understands, for near-miss typo suggestions.
-const KNOWN_FLAGS: &[&str] = &[
-    "--scale",
-    "--apps",
-    "--repeat",
-    "--out",
-    "--check",
-    "--max-regression",
-    "--skip-reference",
-    "--governor",
+/// Every flag `simbench` understands.
+const FLAGS: &[FlagSpec] = &[
+    FlagSpec::value("--scale"),
+    FlagSpec::value("--apps"),
+    FlagSpec::value("--repeat"),
+    FlagSpec::value("--out"),
+    FlagSpec::value("--check"),
+    FlagSpec::value("--max-regression"),
+    FlagSpec::switch("--skip-reference"),
+    FlagSpec::value("--governor"),
 ];
 
-fn parse_app(name: &str) -> Option<App> {
-    App::ALL.into_iter().find(|a| format!("{a:?}").eq_ignore_ascii_case(name))
-}
+const USAGE: &str = "usage: simbench [--scale S] [--apps a,b,..] [--repeat N] [--out FILE] \
+                     [--check FILE] [--max-regression R] [--skip-reference] [--governor G]";
 
 /// Applies the `--check` gate; returns the failing apps.
 fn regressions(fresh: &Value, baseline: &Value, max_regression: f64) -> Vec<String> {
@@ -109,131 +112,31 @@ fn regressions(fresh: &Value, baseline: &Value, max_regression: f64) -> Vec<Stri
     failures
 }
 
-fn main() -> ExitCode {
-    let mut scale = 2.0f64;
-    let mut out = String::from("BENCH_sim.json");
-    let mut apps: Vec<App> =
-        vec![App::Sha, App::Crc32, App::Jpegd, App::G721d, App::Gsm, App::Dijkstra];
-    let mut check: Option<String> = None;
-    let mut max_regression = 0.30f64;
-    let mut skip_reference = false;
-    let mut repeat = 3u32;
-    let mut governor = String::from("AccKagura");
+fn run() -> Result<(), CliError> {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::parse(&raw, FLAGS, 0).inspect_err(|_| eprintln!("{USAGE}"))?;
+    let scale = args.positive("--scale")?.unwrap_or(2.0f64);
+    let out = args.str("--out").unwrap_or("BENCH_sim.json");
+    let apps: Vec<App> = match args.str("--apps") {
+        Some(list) => list
+            .split(',')
+            .map(|name| lookup("app", name.trim(), App::from_name, &App::ALL.map(App::name)))
+            .collect::<Result<_, _>>()
+            .map_err(CliError::Config)?,
+        None => vec![App::Sha, App::Crc32, App::Jpegd, App::G721d, App::Gsm, App::Dijkstra],
+    };
+    let check = args.str("--check");
+    let max_regression = args.num("--max-regression")?.unwrap_or(0.30f64);
+    if !(0.0..1.0).contains(&max_regression) {
+        return Err(CliError::Config("--max-regression needs a fraction in [0, 1)".into()));
+    }
+    let skip_reference = args.has("--skip-reference");
+    let repeat = args.positive("--repeat")?.unwrap_or(3u32);
+    let governor = args.str("--governor").unwrap_or("AccKagura");
+    let spec = lookup("governor", governor, GovernorSpec::from_name, GovernorSpec::NAMES)
+        .map_err(CliError::Config)?;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(v) if v > 0.0 => scale = v,
-                    _ => {
-                        eprintln!("--scale needs a positive number");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--apps" => {
-                i += 1;
-                let Some(list) = args.get(i) else {
-                    eprintln!("--apps needs a comma-separated list");
-                    return ExitCode::FAILURE;
-                };
-                apps.clear();
-                for name in list.split(',') {
-                    match parse_app(name.trim()) {
-                        Some(a) => apps.push(a),
-                        None => {
-                            eprintln!("unknown app {name:?}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) => out = f.clone(),
-                    None => {
-                        eprintln!("--out needs a file path");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--check" => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) => check = Some(f.clone()),
-                    None => {
-                        eprintln!("--check needs a baseline file path");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--max-regression" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(v) if (0.0..1.0).contains(&v) => max_regression = v,
-                    _ => {
-                        eprintln!("--max-regression needs a fraction in [0, 1)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--skip-reference" => skip_reference = true,
-            "--governor" => {
-                i += 1;
-                match args.get(i) {
-                    Some(g) => governor = g.clone(),
-                    None => {
-                        eprintln!("--governor needs a name");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--repeat" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(v) if v >= 1 => repeat = v,
-                    _ => {
-                        eprintln!("--repeat needs a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            other => {
-                // Name the nearest valid flag for plausible typos
-                // instead of leaving the user to diff the usage line.
-                if other.starts_with('-') {
-                    eprintln!(
-                        "simbench: {}",
-                        kagura_bench::cli::unknown_flag_error(other, KNOWN_FLAGS)
-                    );
-                } else {
-                    eprintln!("simbench: unexpected argument {other:?}");
-                }
-                eprintln!(
-                    "usage: simbench [--scale S] [--apps a,b,..] [--repeat N] [--out FILE] \
-                     [--check FILE] [--max-regression R] [--skip-reference] [--governor G]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    let spec = match governor.to_ascii_lowercase().as_str() {
-        "nocompression" => GovernorSpec::NoCompression,
-        "alwayscompress" => GovernorSpec::AlwaysCompress,
-        "acc" => GovernorSpec::Acc,
-        "acckagura" => GovernorSpec::AccKagura(Default::default()),
-        other => {
-            eprintln!("unknown governor {other:?} (nocompression|alwayscompress|acc|acckagura)");
-            return ExitCode::FAILURE;
-        }
-    };
     let cfg = SimConfig::table1().with_governor(spec);
     let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, TRACE_LEN);
     println!("simulator throughput: scale {scale}, {cores} host core(s), governor {governor}");
@@ -316,36 +219,36 @@ fn main() -> ExitCode {
         "headline": headline,
     });
     let text = serde_json::to_string_pretty(&report).expect("serializable");
-    if let Err(e) = kagura_bench::fsutil::atomic_write(std::path::Path::new(&out), text.as_bytes())
-    {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    kagura_bench::fsutil::atomic_write(std::path::Path::new(out), text.as_bytes())
+        .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
     println!("[saved {out}]");
 
     if let Some(baseline_path) = check {
-        let baseline: Value = match std::fs::read_to_string(&baseline_path)
+        let baseline: Value = std::fs::read_to_string(baseline_path)
             .map_err(|e| e.to_string())
             .and_then(|s| serde_json::from_str(&s).map_err(|e| e.to_string()))
-        {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+            .map_err(|e| CliError::Runtime(format!("cannot read baseline {baseline_path}: {e}")))?;
         let failures = regressions(&report, &baseline, max_regression);
-        if failures.is_empty() {
-            println!(
-                "regression gate passed (>= {:.0}% of {baseline_path} per app)",
-                (1.0 - max_regression) * 100.0
-            );
-        } else {
+        if !failures.is_empty() {
             for f in &failures {
                 eprintln!("THROUGHPUT REGRESSION {f}");
             }
-            return ExitCode::FAILURE;
+            return Err(CliError::Runtime(format!("{} app(s) regressed", failures.len())));
+        }
+        println!(
+            "regression gate passed (>= {:.0}% of {baseline_path} per app)",
+            (1.0 - max_regression) * 100.0
+        );
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("simbench: {e}");
+            ExitCode::from(e.exit_code())
         }
     }
-    ExitCode::SUCCESS
 }

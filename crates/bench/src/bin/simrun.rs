@@ -74,16 +74,14 @@ use std::process::ExitCode;
 use std::io::BufWriter;
 use std::path::Path;
 
-use ehs_compress::Algorithm;
-use ehs_energy::{CapacitorConfig, PowerTrace, TraceKind};
+use ehs_energy::PowerTrace;
 use ehs_sim::{
-    run_program_with, Attach, CachescopeConfig, EhsDesign, Extension, FaultKind, GovernorSpec,
-    LeakscopeOptions, SimConfig, SimStats,
+    run_program_with, Attach, CachescopeConfig, FaultKind, LeakscopeOptions, SimConfig, SimStats,
 };
 use ehs_telemetry::{stream, ChromeTraceSink, JsonlSink, Sink, Stamped};
 use ehs_workloads::App;
 use kagura_bench::cachescope::{self, ScopeLabels};
-use kagura_bench::cli::{validate_args, CliError, FlagSpec};
+use kagura_bench::cli::{self, lookup, Args, CliError, ConfigFields, FlagSpec};
 use kagura_bench::leakscope;
 
 fn usage() {
@@ -140,24 +138,22 @@ impl Sink for TeeSink {
     }
 }
 
-/// Everything `simrun` accepts, with arity — the whole argument vector
-/// is validated against this table before any simulation starts, so a
-/// misspelled flag (`--cachescope-peroid`) or a flag left without its
-/// value is a hard error naming the nearest valid flag, never a
-/// silently ignored option.
+/// Everything `simrun` accepts, with arity: the configuration flags
+/// first (the vocabulary `simrun serve` queries share, see
+/// [`ConfigFields`]), then `simrun`'s own.
 const FLAGS: &[FlagSpec] = &[
-    FlagSpec::value("--scale"),
     FlagSpec::value("--governor"),
     FlagSpec::value("--design"),
     FlagSpec::value("--algorithm"),
     FlagSpec::value("--trace"),
-    FlagSpec::value("--trace-file"),
     FlagSpec::value("--seed"),
     FlagSpec::value("--cache"),
     FlagSpec::value("--ways"),
     FlagSpec::value("--block"),
     FlagSpec::value("--cap"),
     FlagSpec::value("--extension"),
+    FlagSpec::value("--scale"),
+    FlagSpec::value("--trace-file"),
     FlagSpec::switch("--json"),
     FlagSpec::value("--inject-at"),
     FlagSpec::value("--inject-fault"),
@@ -171,93 +167,32 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec::value("--leak-secret"),
 ];
 
-struct Args(Vec<String>);
-
-impl Args {
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.0.iter().position(|a| a == name).and_then(|i| self.0.get(i + 1)).map(String::as_str)
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
-    }
+/// The configuration flags resolved onto a checked [`SimConfig`].
+fn build_config(args: &Args) -> Result<SimConfig, CliError> {
+    let fields = ConfigFields {
+        governor: args.str("--governor"),
+        design: args.str("--design"),
+        algorithm: args.str("--algorithm"),
+        trace: args.str("--trace"),
+        seed: args.num("--seed")?,
+        cache: args.num("--cache")?,
+        ways: args.num("--ways")?,
+        block: args.num("--block")?,
+        cap: args.num("--cap")?,
+        extension: args.str("--extension"),
+    };
+    let cfg = fields.resolve().map_err(CliError::Config)?;
+    Ok(cfg.with_audit_strict(args.has("--audit-strict")))
 }
 
-fn build_config(args: &Args) -> Result<SimConfig, String> {
-    let mut cfg = SimConfig::table1();
-    if let Some(g) = args.flag("--governor") {
-        cfg.governor = match g {
-            "baseline" | "none" => GovernorSpec::NoCompression,
-            "always" => GovernorSpec::AlwaysCompress,
-            "acc" => GovernorSpec::Acc,
-            "kagura" => GovernorSpec::AccKagura(Default::default()),
-            "ideal-acc" => GovernorSpec::IdealAcc,
-            "ideal-kagura" => GovernorSpec::IdealAccKagura(Default::default()),
-            "rand-threshold" | "rand_threshold" => GovernorSpec::RandThreshold(Default::default()),
-            other => return Err(format!("unknown governor {other:?}")),
-        };
-    }
-    if let Some(d) = args.flag("--design") {
-        cfg.design = match d {
-            "nvsram" | "nvsramcache" => EhsDesign::NvsramCache,
-            "nvmr" => EhsDesign::Nvmr,
-            "sweepcache" | "sweep" => EhsDesign::SweepCache,
-            other => return Err(format!("unknown design {other:?}")),
-        };
-    }
-    if let Some(a) = args.flag("--algorithm") {
-        cfg.algorithm = match a.to_ascii_lowercase().as_str() {
-            "bdi" => Algorithm::Bdi,
-            "fpc" => Algorithm::Fpc,
-            "cpack" | "c-pack" => Algorithm::CPack,
-            "dzc" => Algorithm::Dzc,
-            "bpc" => Algorithm::Bpc,
-            "fvc" => Algorithm::Fvc,
-            other => return Err(format!("unknown algorithm {other:?}")),
-        };
-    }
-    if let Some(t) = args.flag("--trace") {
-        cfg.trace_kind = match t.to_ascii_lowercase().as_str() {
-            "rfhome" | "rf" => TraceKind::RfHome,
-            "solar" => TraceKind::Solar,
-            "thermal" => TraceKind::Thermal,
-            other => return Err(format!("unknown trace {other:?}")),
-        };
-    }
-    if let Some(s) = args.flag("--seed") {
-        cfg.trace_seed = s.parse().map_err(|e| format!("bad seed: {e}"))?;
-    }
-    if let Some(c) = args.flag("--cache") {
-        let bytes: u32 = c.parse().map_err(|e| format!("bad cache size: {e}"))?;
-        cfg.system.icache = cfg.system.icache.with_size(bytes);
-        cfg.system.dcache = cfg.system.dcache.with_size(bytes);
-    }
-    if let Some(w) = args.flag("--ways") {
-        let ways: u32 = w.parse().map_err(|e| format!("bad way count: {e}"))?;
-        cfg.system.icache = cfg.system.icache.with_ways(ways);
-        cfg.system.dcache = cfg.system.dcache.with_ways(ways);
-    }
-    if let Some(b) = args.flag("--block") {
-        let bytes: u32 = b.parse().map_err(|e| format!("bad block size: {e}"))?;
-        cfg.system.icache = cfg.system.icache.with_block_size(bytes);
-        cfg.system.dcache = cfg.system.dcache.with_block_size(bytes);
-    }
-    if let Some(c) = args.flag("--cap") {
-        let uf: f64 = c.parse().map_err(|e| format!("bad capacitance: {e}"))?;
-        cfg.capacitor = CapacitorConfig::with_capacitance_uf(uf);
-    }
-    if let Some(e) = args.flag("--extension") {
-        cfg.extension = match e {
-            "none" => Extension::None,
-            "edbp" => Extension::edbp(),
-            "ipex" => Extension::ipex(),
-            other => return Err(format!("unknown extension {other:?}")),
-        };
-    }
-    if args.has("--audit-strict") {
-        cfg.audit_strict = true;
-    }
-    Ok(cfg)
+/// The app positional and the `--scale` it runs at.
+fn workload(args: &Args) -> Result<(App, f64), CliError> {
+    let [name] = args.positionals() else {
+        return Err(CliError::Usage("missing app".into()));
+    };
+    let app =
+        lookup("app", name, App::from_name, &App::ALL.map(App::name)).map_err(CliError::Config)?;
+    Ok((app, args.positive("--scale")?.unwrap_or(1.0)))
 }
 
 /// Machine-readable counterpart of [`print_report`]: a JSON tree built
@@ -419,7 +354,7 @@ fn run_leakscope(
         ));
     }
     let mut opts = LeakscopeOptions::default();
-    if let Some(hex) = args.flag("--leak-secret") {
+    if let Some(hex) = args.str("--leak-secret") {
         let bytes = leakscope::from_hex(hex)
             .map_err(|e| CliError::Config(format!("bad --leak-secret: {e}")))?;
         opts.secret = bytes.try_into().map_err(|_| {
@@ -475,35 +410,17 @@ fn run() -> Result<(), CliError> {
     if raw.first().map(String::as_str) == Some("serve") {
         return kagura_bench::serve::run_serve(&raw[1..]);
     }
-    // Validate the whole vector up front (unknown flags, missing
-    // values, stray positionals) so no simulation starts on a command
-    // line that doesn't mean what the user typed.
-    if let Err(e) = validate_args(&raw, FLAGS, 1) {
-        usage();
-        return Err(CliError::Usage(e));
-    }
-    let Some(app_name) = raw.first() else {
-        usage();
-        return Err(CliError::Usage("missing app".into()));
-    };
-    let Some(app) = App::from_name(app_name) else {
-        usage();
-        return Err(CliError::Config(format!("unknown app {app_name:?}")));
-    };
-    let args = Args(raw);
-    let scale: f64 = match args.flag("--scale") {
-        Some(s) => s.parse().map_err(|e| CliError::Config(format!("bad scale: {e}")))?,
-        None => 1.0,
-    };
-    if scale <= 0.0 {
-        return Err(CliError::Config("scale must be positive".into()));
-    }
-    let cfg = build_config(&args).map_err(CliError::Config)?;
+    // The whole command line is parsed and the config checked before
+    // any simulation starts.
+    let parsed = cli::parse(&raw, FLAGS, 1).and_then(|args| {
+        let (app, scale) = workload(&args)?;
+        Ok((args, app, scale))
+    });
+    let (args, app, scale) = parsed.inspect_err(|_| usage())?;
+    let cfg = build_config(&args)?;
 
-    let inject = match args.flag("--inject-at") {
-        Some(n) => {
-            let at: u64 =
-                n.parse().map_err(|e| CliError::Config(format!("bad --inject-at: {e}")))?;
+    let inject = match args.num::<u64>("--inject-at")? {
+        Some(at) => {
             if at == 0 {
                 return Err(CliError::Config(
                     "--inject-at is 1-based: the first boundary is 1".into(),
@@ -516,7 +433,7 @@ fn run() -> Result<(), CliError> {
                         .into(),
                 ));
             }
-            let kind = match args.flag("--inject-fault").unwrap_or("power") {
+            let kind = match args.str("--inject-fault").unwrap_or("power") {
                 "power" => FaultKind::PowerFailure,
                 "torn" => FaultKind::TornCheckpoint { persist_blocks: 0 },
                 "corrupt" => FaultKind::CorruptPayload { bit: 5 },
@@ -532,14 +449,14 @@ fn run() -> Result<(), CliError> {
         }
     };
 
-    if let Some(leak_file) = args.flag("--leakscope") {
+    if let Some(leak_file) = args.str("--leakscope") {
         return run_leakscope(leak_file, app, &args, &cfg, inject.is_some());
     }
     if args.has("--leak-secret") {
         return Err(CliError::Usage("--leak-secret needs --leakscope".into()));
     }
 
-    let trace = match args.flag("--trace-file") {
+    let trace = match args.str("--trace-file") {
         Some(path) => {
             let f = File::open(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
             // TraceError names the offending line; prepend the file.
@@ -561,23 +478,16 @@ fn run() -> Result<(), CliError> {
     if let Some((at, kind)) = inject {
         eprintln!("injecting {kind:?} after executed instruction {at}");
     }
-    let events_path = args.flag("--emit-events");
-    let chrome_path = args.flag("--chrome-trace");
-    let flight_path = args.flag("--flight-record");
+    let events_path = args.str("--emit-events");
+    let chrome_path = args.str("--chrome-trace");
+    let flight_path = args.str("--flight-record");
     let instrumented = events_path.is_some() || chrome_path.is_some() || flight_path.is_some();
-    let scope_path = args.flag("--cachescope");
-    let scope = match args.flag("--cachescope-period") {
-        Some(p) => {
-            if scope_path.is_none() {
-                return Err(CliError::Usage("--cachescope-period needs --cachescope".into()));
-            }
-            let n: u64 =
-                p.parse().map_err(|e| CliError::Config(format!("bad --cachescope-period: {e}")))?;
-            if n == 0 {
-                return Err(CliError::Config("--cachescope-period must be positive".into()));
-            }
-            CachescopeConfig::periodic(n)
-        }
+    let scope_path = args.str("--cachescope");
+    if scope_path.is_none() && args.has("--cachescope-period") {
+        return Err(CliError::Usage("--cachescope-period needs --cachescope".into()));
+    }
+    let scope = match args.positive("--cachescope-period")? {
+        Some(n) => CachescopeConfig::periodic(n),
         None => CachescopeConfig::default(),
     };
     if scope_path.is_some() && instrumented {
@@ -692,5 +602,91 @@ fn main() -> ExitCode {
             eprintln!("simrun: {e}");
             ExitCode::from(e.exit_code())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ehs_compress::Algorithm;
+    use ehs_energy::TraceKind;
+    use ehs_sim::{EhsDesign, Extension, GovernorSpec};
+    use kagura_bench::serve::request::{parse_request, Request};
+
+    /// What `simrun` would run for this command line.
+    fn simrun(argv: &[&str]) -> Result<(App, f64, SimConfig), CliError> {
+        let raw: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let args = cli::parse(&raw, FLAGS, 1)?;
+        let (app, scale) = workload(&args)?;
+        Ok((app, scale, build_config(&args)?))
+    }
+
+    /// What `simrun serve` would run for a `sha` query with these fields.
+    fn serve(fields: &str) -> Result<SimConfig, String> {
+        match parse_request(&format!(r#"{{"op":"query","app":"sha"{fields}}}"#)) {
+            Ok(Request::Query { query, .. }) => Ok(query.cfg),
+            Ok(other) => panic!("not a query: {other:?}"),
+            Err((_, detail)) => Err(detail),
+        }
+    }
+
+    #[test]
+    fn every_spelling_resolves_alike_through_flags_and_queries() {
+        let names: [(&str, &[&str]); 5] = [
+            ("governor", GovernorSpec::NAMES),
+            ("design", EhsDesign::NAMES),
+            ("algorithm", Algorithm::NAMES),
+            ("trace", TraceKind::NAMES),
+            ("extension", Extension::NAMES),
+        ];
+        for (field, spellings) in names {
+            for name in spellings.iter().flat_map(|n| [n.to_string(), n.to_ascii_uppercase()]) {
+                let (_, _, cfg) = simrun(&["sha", &format!("--{field}"), &name]).unwrap();
+                assert_eq!(Ok(cfg), serve(&format!(r#","{field}":"{name}""#)), "{field} {name}");
+            }
+        }
+        let numbers = [
+            ("seed", "7"),
+            ("cache", "1024"),
+            ("ways", "4"),
+            ("block", "16"),
+            ("cap", "1"),
+            ("cap", "10.5"),
+        ];
+        for (field, value) in numbers {
+            let (_, _, cfg) = simrun(&["sha", &format!("--{field}"), value]).unwrap();
+            assert_eq!(Ok(cfg), serve(&format!(r#","{field}":{value}"#)), "{field} {value}");
+        }
+        assert_eq!(simrun(&["sha"]).unwrap().2, SimConfig::table1());
+        assert_eq!(serve(""), Ok(SimConfig::table1()));
+    }
+
+    #[test]
+    fn invalid_geometry_and_capacitance_are_typed_errors_in_both_front_ends() {
+        let json_too = [
+            ("cache", "7"),
+            ("ways", "0"),
+            ("block", "3"),
+            ("block", "4"),
+            ("cache", "768"),
+            ("cap", "0"),
+            ("cap", "-1"),
+        ];
+        for (field, value) in json_too {
+            let flags = simrun(&["sha", &format!("--{field}"), value]);
+            assert!(matches!(flags, Err(CliError::Config(_))), "--{field} {value}: {flags:?}");
+            assert!(serve(&format!(r#","{field}":{value}"#)).is_err(), "{field}: {value}");
+        }
+        for cap in ["NaN", "inf"] {
+            assert!(matches!(simrun(&["sha", "--cap", cap]), Err(CliError::Config(_))), "{cap}");
+        }
+    }
+
+    #[test]
+    fn flags_may_come_before_the_app() {
+        let (app, scale, _) = simrun(&["--scale", "0.01", "sha"]).unwrap();
+        assert_eq!((app, scale), (App::Sha, 0.01));
+        assert!(matches!(simrun(&["--scale", "0.01"]), Err(CliError::Usage(_))));
+        assert!(matches!(simrun(&["sha", "crc32"]), Err(CliError::Usage(_))));
     }
 }

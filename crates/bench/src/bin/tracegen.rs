@@ -17,20 +17,12 @@ use std::process::ExitCode;
 
 use ehs_energy::{PowerTrace, TraceKind};
 use ehs_model::Power;
+use kagura_bench::cli::{self, lookup, CliError, FlagSpec};
 
 fn usage() {
     eprintln!("usage: tracegen gen <rfhome|solar|thermal> <len> [--seed S] [--out FILE]");
     eprintln!("       tracegen constant <uW> <len> [--out FILE]");
     eprintln!("       tracegen stats <FILE>");
-}
-
-fn parse_kind(name: &str) -> Option<TraceKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "rfhome" | "rf" => Some(TraceKind::RfHome),
-        "solar" => Some(TraceKind::Solar),
-        "thermal" => Some(TraceKind::Thermal),
-        _ => None,
-    }
 }
 
 fn write_out(trace: &PowerTrace, out: Option<&str>) -> io::Result<()> {
@@ -76,58 +68,58 @@ fn print_stats(trace: &PowerTrace) {
     println!("profile         : [{line}]");
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get_flag = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-    };
-    match args.first().map(String::as_str) {
-        Some("gen") => {
-            let kind = args
-                .get(1)
-                .and_then(|k| parse_kind(k))
-                .ok_or("gen needs a source: rfhome | solar | thermal")?;
-            let len: usize = args
-                .get(2)
-                .and_then(|l| l.parse().ok())
-                .filter(|&l| l > 0)
-                .ok_or("gen needs a positive sample count")?;
-            let seed: u64 = get_flag("--seed")
-                .map(|s| s.parse().map_err(|e| format!("bad seed: {e}")))
-                .transpose()?
-                .unwrap_or(42);
-            let trace = PowerTrace::generate(kind, seed, len);
-            write_out(&trace, get_flag("--out").as_deref()).map_err(|e| e.to_string())?;
-            Ok(())
-        }
-        Some("constant") => {
-            let uw: f64 = args
-                .get(1)
-                .and_then(|l| l.parse().ok())
-                .filter(|&u| u >= 0.0)
-                .ok_or("constant needs a non-negative power in uW")?;
-            let len: usize = args
-                .get(2)
-                .and_then(|l| l.parse().ok())
-                .filter(|&l| l > 0)
-                .ok_or("constant needs a positive sample count")?;
-            let trace = PowerTrace::constant(Power::from_microwatts(uw), len);
-            write_out(&trace, get_flag("--out").as_deref()).map_err(|e| e.to_string())?;
-            Ok(())
-        }
-        Some("stats") => {
-            let path = args.get(1).ok_or("stats needs a trace file")?;
-            let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-            // TraceError carries the offending line; prepend the file.
+const GEN_FLAGS: &[FlagSpec] = &[FlagSpec::value("--seed"), FlagSpec::value("--out")];
+const CONSTANT_FLAGS: &[FlagSpec] = &[FlagSpec::value("--out")];
+
+/// A sample-count positional: a positive integer.
+fn sample_count(len: &str) -> Result<usize, CliError> {
+    len.parse().ok().filter(|&l| l > 0).ok_or_else(|| {
+        CliError::Config(format!("sample count must be a positive integer, got {len:?}"))
+    })
+}
+
+fn run() -> Result<(), CliError> {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, rest) = raw.split_first().map_or(("", &[][..]), |(c, r)| (c.as_str(), r));
+    let io = |e: io::Error| CliError::Runtime(e.to_string());
+    match cmd {
+        "gen" => {
+            let args = cli::parse(rest, GEN_FLAGS, 2)?;
+            let [kind, len] = args.positionals() else {
+                return Err(CliError::Usage("gen needs a source and a sample count".into()));
+            };
+            let kind = lookup("source", kind, TraceKind::from_name, TraceKind::NAMES)
+                .map_err(CliError::Config)?;
             let trace =
-                PowerTrace::read_text(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))?;
+                PowerTrace::generate(kind, args.num("--seed")?.unwrap_or(42), sample_count(len)?);
+            write_out(&trace, args.str("--out")).map_err(io)
+        }
+        "constant" => {
+            let args = cli::parse(rest, CONSTANT_FLAGS, 2)?;
+            let [uw, len] = args.positionals() else {
+                return Err(CliError::Usage(
+                    "constant needs a power in uW and a sample count".into(),
+                ));
+            };
+            let uw: f64 = uw.parse().ok().filter(|&u: &f64| u >= 0.0).ok_or_else(|| {
+                CliError::Config(format!("power must be a non-negative number of uW, got {uw:?}"))
+            })?;
+            let trace = PowerTrace::constant(Power::from_microwatts(uw), sample_count(len)?);
+            write_out(&trace, args.str("--out")).map_err(io)
+        }
+        "stats" => {
+            let args = cli::parse(rest, &[], 1)?;
+            let [path] = args.positionals() else {
+                return Err(CliError::Usage("stats needs a trace file".into()));
+            };
+            let f = File::open(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
+            // TraceError carries the offending line; prepend the file.
+            let trace = PowerTrace::read_text(BufReader::new(f))
+                .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
             print_stats(&trace);
             Ok(())
         }
-        _ => {
-            usage();
-            Err("unknown command".into())
-        }
+        _ => Err(CliError::Usage(format!("unknown command {cmd:?}"))),
     }
 }
 
@@ -135,8 +127,11 @@ fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
+            if let CliError::Usage(_) = e {
+                usage();
+            }
             let _ = writeln!(io::stderr(), "tracegen: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(e.exit_code())
         }
     }
 }

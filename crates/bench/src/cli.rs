@@ -1,13 +1,18 @@
-//! Shared command-line parsing helpers for the harness binaries.
+//! The one front end for outside input: every harness binary (`repro`,
+//! `simrun`, `simrun serve`, `simbench`, `bench`, `tracegen`) parses its
+//! command line with [`parse`] against its own [`FlagSpec`] table, and
+//! `simrun` flags and `simrun serve` query fields share one configuration
+//! vocabulary, [`ConfigFields`], resolved and checked in one place.
 //!
-//! The binaries (`repro`, `simrun`, `simbench`) parse their flags by
-//! hand; historically a misspelled flag was *silently ignored*
-//! (`simrun`) or mis-filed as an experiment id (`repro`), so
-//! `--cachescope-peroid 100` ran a full simulation with the option
-//! simply dropped. These helpers make unknown flags a hard error that
-//! names the nearest valid flag, and let `simrun`-style positional
-//! scanners validate the whole argument vector up front (flag arity
-//! included) before any simulation starts.
+//! Failures are typed ([`CliError`]): an unknown flag (with the nearest
+//! valid one suggested), a missing value or a stray positional never
+//! parsed; a value that parsed but names nothing valid is a
+//! configuration error. No simulation starts on a command line that
+//! does not mean what the user typed.
+
+use ehs_compress::Algorithm;
+use ehs_energy::TraceKind;
+use ehs_sim::{EhsDesign, Extension, GovernorSpec, SimConfig};
 
 /// A binary-level failure carrying its process exit class.
 ///
@@ -88,13 +93,28 @@ pub fn suggest<'a>(input: &str, candidates: &[&'a str]) -> Option<&'a str> {
         .map(|(_, c)| c)
 }
 
-/// Error message for an unrecognized flag, naming the nearest valid
-/// one when a plausible typo exists.
-pub fn unknown_flag_error(flag: &str, known: &[&str]) -> String {
-    match suggest(flag, known) {
-        Some(nearest) => format!("unknown flag `{flag}` (did you mean `{nearest}`?)"),
-        None => format!("unknown flag `{flag}`"),
+/// Error text for a name that no table entry matches, naming the
+/// nearest accepted spelling when one is plausibly meant.
+pub fn bad_name(field: &str, got: &str, names: &[&str]) -> String {
+    match suggest(&got.to_ascii_lowercase(), names) {
+        Some(nearest) => format!("unknown {field} {got:?} (did you mean {nearest:?}?)"),
+        None => format!("unknown {field} {got:?} (expected one of: {})", names.join(", ")),
     }
+}
+
+/// Resolves `got` through a type's name table (`from_name` and the
+/// `NAMES` it accepts), or explains the miss with [`bad_name`].
+///
+/// # Errors
+///
+/// The [`bad_name`] text when `from_name` rejects `got`.
+pub fn lookup<T>(
+    field: &str,
+    got: &str,
+    from_name: fn(&str) -> Option<T>,
+    names: &[&str],
+) -> Result<T, String> {
+    from_name(got).ok_or_else(|| bad_name(field, got, names))
 }
 
 /// One recognized flag: its name and whether it consumes a value.
@@ -118,43 +138,220 @@ impl FlagSpec {
     }
 }
 
-/// Validates a raw argument vector against a flag table: every
-/// `--flag` must be known, value flags must have their value, and at
-/// most `max_positionals` non-flag arguments may appear.
+/// A command line parsed by [`parse`]: the flags given (a repeated flag's
+/// last value wins) and the positionals, in order.
+#[derive(Debug)]
+pub struct Args<'a> {
+    table: &'static [FlagSpec],
+    flags: Vec<(&'static str, &'a str)>,
+    positionals: Vec<&'a str>,
+}
+
+/// Parses `args` against a flag table: flags and positionals may come in
+/// any order, every `--flag` must be in the table, a value flag takes
+/// the next argument whatever it looks like, and at most
+/// `max_positionals` other arguments (negative numbers included) may
+/// appear.
 ///
 /// # Errors
 ///
-/// Returns a user-facing message naming the offending argument — with
-/// the nearest valid flag for plausible typos.
-pub fn validate_args(
-    args: &[String],
-    flags: &[FlagSpec],
+/// [`CliError::Usage`] naming the offending argument, with the nearest
+/// valid flag for plausible typos.
+pub fn parse<'a>(
+    args: &'a [String],
+    table: &'static [FlagSpec],
     max_positionals: usize,
-) -> Result<(), String> {
-    let known: Vec<&str> = flags.iter().map(|f| f.name).collect();
-    let mut positionals = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if arg.starts_with('-') && arg.len() > 1 {
-            let Some(spec) = flags.iter().find(|f| f.name == *arg) else {
-                return Err(unknown_flag_error(arg, &known));
-            };
-            if spec.takes_value {
-                i += 1;
-                if i >= args.len() {
-                    return Err(format!("flag `{}` needs a value", spec.name));
-                }
+) -> Result<Args<'a>, CliError> {
+    let mut parsed = Args { table, flags: Vec::new(), positionals: Vec::new() };
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') || arg == "-" || arg.parse::<f64>().is_ok() {
+            if parsed.positionals.len() == max_positionals {
+                return Err(CliError::Usage(format!("unexpected argument `{arg}`")));
             }
+            parsed.positionals.push(arg);
+            continue;
+        }
+        let Some(spec) = table.iter().find(|f| f.name == *arg) else {
+            let names: Vec<&str> = table.iter().map(|f| f.name).collect();
+            return Err(CliError::Usage(match suggest(arg, &names) {
+                Some(nearest) => format!("unknown flag `{arg}` (did you mean `{nearest}`?)"),
+                None => format!("unknown flag `{arg}`"),
+            }));
+        };
+        let value = if spec.takes_value {
+            rest.next()
+                .ok_or_else(|| CliError::Usage(format!("flag `{}` needs a value", spec.name)))?
         } else {
-            positionals += 1;
-            if positionals > max_positionals {
-                return Err(format!("unexpected argument `{arg}`"));
+            ""
+        };
+        parsed.flags.push((spec.name, value));
+    }
+    Ok(parsed)
+}
+
+/// Numbers [`Args::positive`] accepts: finite and above zero.
+pub trait Positive: std::str::FromStr {
+    /// `true` when the value is finite and above zero.
+    fn is_positive(&self) -> bool;
+}
+
+impl Positive for f64 {
+    fn is_positive(&self) -> bool {
+        *self > 0.0 && self.is_finite()
+    }
+}
+
+macro_rules! positive_ints {
+    ($($t:ty),*) => {$(
+        impl Positive for $t {
+            fn is_positive(&self) -> bool {
+                *self > 0
             }
         }
-        i += 1;
+    )*};
+}
+positive_ints!(u32, u64, usize);
+
+impl<'a> Args<'a> {
+    fn last(&self, name: &str) -> Option<&'a str> {
+        debug_assert!(self.table.iter().any(|f| f.name == name), "{name} is not in the table");
+        self.flags.iter().rev().find(|(f, _)| *f == name).map(|&(_, v)| v)
     }
-    Ok(())
+
+    /// Whether the flag was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.last(name).is_some()
+    }
+
+    /// The value of a value flag, if given.
+    pub fn str(&self, name: &str) -> Option<&'a str> {
+        self.last(name)
+    }
+
+    /// The value of a value flag parsed as `T`, if given.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Config`] when the value does not parse.
+    pub fn num<T>(&self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        self.last(name)
+            .map(|v| v.parse().map_err(|e| CliError::Config(format!("bad {name} {v:?}: {e}"))))
+            .transpose()
+    }
+
+    /// Like [`Args::num`], but the value must also be finite and above
+    /// zero.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Config`] when the value does not parse or is not
+    /// positive.
+    pub fn positive<T>(&self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T: Positive,
+        T::Err: std::fmt::Display,
+    {
+        match self.num::<T>(name)? {
+            Some(v) if !v.is_positive() => {
+                Err(CliError::Config(format!("{name} must be positive")))
+            }
+            v => Ok(v),
+        }
+    }
+
+    /// The positional arguments, in order.
+    pub fn positionals(&self) -> &[&'a str] {
+        &self.positionals
+    }
+}
+
+/// The configuration vocabulary `simrun` and `simrun serve` share: each
+/// field is both a `simrun` flag (`--governor kagura`) and a serve query
+/// field (`"governor":"kagura"`), with the same names, aliases and
+/// defaults (Table I). Each front end reads its raw values with its own
+/// syntax checks; [`ConfigFields::resolve`] is the one place they become
+/// a [`SimConfig`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ConfigFields<'a> {
+    /// [`GovernorSpec::NAMES`].
+    pub governor: Option<&'a str>,
+    /// [`EhsDesign::NAMES`].
+    pub design: Option<&'a str>,
+    /// [`Algorithm::NAMES`].
+    pub algorithm: Option<&'a str>,
+    /// [`TraceKind::NAMES`].
+    pub trace: Option<&'a str>,
+    /// Trace-generation seed.
+    pub seed: Option<u64>,
+    /// ICache and DCache capacity in bytes.
+    pub cache: Option<u64>,
+    /// ICache and DCache associativity.
+    pub ways: Option<u64>,
+    /// ICache and DCache block size in bytes.
+    pub block: Option<u64>,
+    /// Capacitance in microfarads.
+    pub cap: Option<f64>,
+    /// [`Extension::NAMES`].
+    pub extension: Option<&'a str>,
+}
+
+impl ConfigFields<'_> {
+    /// Table I with these fields applied, checked by
+    /// [`SimConfig::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown name or the invalid value.
+    pub fn resolve(&self) -> Result<SimConfig, String> {
+        let mut cfg = SimConfig::table1();
+        if let Some(g) = self.governor {
+            cfg.governor = lookup("governor", g, GovernorSpec::from_name, GovernorSpec::NAMES)?;
+        }
+        if let Some(d) = self.design {
+            cfg.design = lookup("design", d, EhsDesign::from_name, EhsDesign::NAMES)?;
+        }
+        if let Some(a) = self.algorithm {
+            cfg.algorithm = lookup("algorithm", a, Algorithm::from_name, Algorithm::NAMES)?;
+        }
+        if let Some(t) = self.trace {
+            cfg.trace_kind = lookup("trace", t, TraceKind::from_name, TraceKind::NAMES)?;
+        }
+        if let Some(e) = self.extension {
+            cfg.extension = lookup("extension", e, Extension::from_name, Extension::NAMES)?;
+        }
+        if let Some(seed) = self.seed {
+            cfg.trace_seed = seed;
+        }
+        let u32_of = |field: &str, n: u64| {
+            u32::try_from(n).map_err(|_| format!("{field} {n} is out of range"))
+        };
+        let (i, d) = (&mut cfg.system.icache, &mut cfg.system.dcache);
+        if let Some(c) = self.cache {
+            let bytes = u32_of("cache", c)?;
+            (*i, *d) = (i.with_size(bytes), d.with_size(bytes));
+        }
+        if let Some(w) = self.ways {
+            let ways = u32_of("ways", w)?;
+            (*i, *d) = (i.with_ways(ways), d.with_ways(ways));
+        }
+        if let Some(b) = self.block {
+            let bytes = u32_of("block", b)?;
+            (*i, *d) = (i.with_block_size(bytes), d.with_block_size(bytes));
+        }
+        if let Some(uf) = self.cap {
+            // `CapacitorConfig::with_capacitance_uf` on Table I's
+            // thresholds, minus its assert: `validate` below reports a
+            // bad value instead.
+            cfg.capacitor.capacitance = uf * 1e-6;
+        }
+        cfg.validate().map_err(|e| e.to_string())?;
+        Ok(cfg)
+    }
 }
 
 #[cfg(test)]
@@ -184,23 +381,81 @@ mod tests {
         assert_eq!(suggest("--cachescope-peroid", &known), Some("--cachescope-period"));
         assert_eq!(suggest("--scal", &known), Some("--scale"));
         assert_eq!(suggest("--frobnicate", &known), None, "no wild guesses");
-        assert!(unknown_flag_error("--scal", &known).contains("did you mean `--scale`"));
-        assert!(!unknown_flag_error("--frobnicate", &known).contains("did you mean"));
+        let names = GovernorSpec::NAMES;
+        assert!(bad_name("governor", "Kagora", names).contains("did you mean \"kagura\""));
+        assert!(bad_name("governor", "zorp", names).contains("expected one of: baseline"));
+    }
+
+    const FLAGS: &[FlagSpec] = &[FlagSpec::value("--scale"), FlagSpec::switch("--json")];
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
-    fn validate_rejects_unknown_flags_and_missing_values() {
-        let flags = [FlagSpec::value("--scale"), FlagSpec::switch("--json")];
-        let ok = |v: &[&str]| {
-            validate_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>(), &flags, 1)
+    fn parse_rejects_unknown_flags_and_missing_values() {
+        let usage = |v: &[&str]| match parse(&args(v), FLAGS, 1) {
+            Err(CliError::Usage(m)) => m,
+            other => panic!("{v:?} must be a usage error, got {other:?}"),
         };
-        assert!(ok(&["sha", "--scale", "0.5", "--json"]).is_ok());
-        let err = ok(&["sha", "--scael", "0.5"]).unwrap_err();
-        assert!(err.contains("--scale"), "{err}");
-        assert!(ok(&["sha", "--scale"]).unwrap_err().contains("needs a value"));
-        assert!(ok(&["sha", "extra"]).unwrap_err().contains("unexpected argument"));
-        // A value that looks numeric is consumed by its flag, not
-        // mistaken for a positional.
-        assert!(ok(&["sha", "--scale", "-1"]).is_ok());
+        assert!(usage(&["sha", "--scael", "0.5"]).contains("did you mean `--scale`"));
+        assert!(!usage(&["--frobnicate"]).contains("did you mean"));
+        assert!(usage(&["sha", "--scale"]).contains("needs a value"));
+        assert!(usage(&["sha", "extra"]).contains("unexpected argument `extra`"));
+        // A value flag takes the next argument, even one that looks
+        // like a flag or a negative number.
+        let argv = args(&["sha", "--scale", "-1"]);
+        assert_eq!(parse(&argv, FLAGS, 1).unwrap().str("--scale"), Some("-1"));
+        // A negative number on its own is a positional, not a flag.
+        assert_eq!(parse(&args(&["-5"]), FLAGS, 1).unwrap().positionals(), ["-5"]);
+    }
+
+    #[test]
+    fn flags_and_positionals_come_in_any_order() {
+        let argv = args(&["--scale", "0.01", "sha", "--json"]);
+        let a = parse(&argv, FLAGS, 1).unwrap();
+        assert_eq!(a.positionals(), ["sha"]);
+        assert_eq!(a.positive::<f64>("--scale"), Ok(Some(0.01)));
+        assert!(a.has("--json"));
+        let argv = args(&["--scale", "1", "--scale", "2"]);
+        assert_eq!(parse(&argv, FLAGS, 0).unwrap().num::<u32>("--scale"), Ok(Some(2)));
+    }
+
+    #[test]
+    fn bad_values_are_config_errors() {
+        for (value, want) in [("big", "bad --scale"), ("0", "positive"), ("NaN", "positive")] {
+            let argv = args(&["--scale", value]);
+            match parse(&argv, FLAGS, 0).unwrap().positive::<f64>("--scale") {
+                Err(CliError::Config(m)) => assert!(m.contains(want), "{value}: {m}"),
+                other => panic!("{value}: {other:?}"),
+            }
+        }
+        let argv = args(&["--scale", "inf"]);
+        assert!(parse(&argv, FLAGS, 0).unwrap().positive::<f64>("--scale").is_err());
+        assert_eq!(parse(&argv, FLAGS, 0).unwrap().positive::<f64>("--json"), Ok(None));
+    }
+
+    #[test]
+    fn config_fields_resolve_onto_table1_and_validate() {
+        assert_eq!(ConfigFields::default().resolve(), Ok(SimConfig::table1()));
+        let cfg = ConfigFields {
+            governor: Some("Rand_Threshold"),
+            design: Some("NVSRAMCache"),
+            algorithm: Some("C-Pack"),
+            cap: Some(1.0),
+            cache: Some(1024),
+            ..ConfigFields::default()
+        }
+        .resolve()
+        .unwrap();
+        assert_eq!(cfg.governor.name(), "rand-threshold");
+        assert_eq!(cfg.algorithm, Algorithm::CPack);
+        assert_eq!(cfg.capacitor, ehs_energy::CapacitorConfig::with_capacitance_uf(1.0));
+        assert_eq!(cfg.system.icache.size_bytes, 1024);
+        let err = |f: ConfigFields| f.resolve().unwrap_err();
+        assert!(err(ConfigFields { cache: Some(7), ..Default::default() }).contains("geometry"));
+        assert!(err(ConfigFields { cap: Some(0.0), ..Default::default() }).contains("capacitance"));
+        assert!(err(ConfigFields { ways: Some(1 << 40), ..Default::default() }).contains("range"));
+        assert!(err(ConfigFields { trace: Some("wind"), ..Default::default() }).contains("trace"));
     }
 }

@@ -51,7 +51,7 @@ use ehs_sim::{parallel, GovernorSpec, JobFailure, RetryPolicy, SimJob, SimStats,
 use ehs_telemetry::{Counter, Event, Gauge, HistogramId, MetricsRegistry, Stamped};
 use serde_json::{json, Value};
 
-use crate::cli::{validate_args, CliError, FlagSpec};
+use crate::cli::{self, CliError, FlagSpec};
 use crate::fleet::cell_metrics;
 use crate::fsutil;
 
@@ -121,44 +121,24 @@ impl ServeOptions {
     /// [`CliError::Usage`] for unknown flags/missing values,
     /// [`CliError::Config`] for values that parse but are invalid.
     pub fn parse(args: &[String]) -> Result<ServeOptions, CliError> {
-        validate_args(args, FLAGS, 0).map_err(CliError::Usage)?;
-        let flag = |name: &str| {
-            args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
-        };
-        let parse_n = |name: &str| -> Result<Option<u64>, CliError> {
-            flag(name)
-                .map(|v| v.parse().map_err(|e| CliError::Config(format!("bad {name}: {e}"))))
-                .transpose()
-        };
-        let workers = match parse_n("--workers")? {
-            Some(0) => return Err(CliError::Config("--workers must be positive".into())),
-            Some(n) => n as usize,
-            None => parallel::max_workers(),
-        };
-        let deadline_ms = parse_n("--deadline-ms")?;
-        if deadline_ms == Some(0) {
-            return Err(CliError::Config("--deadline-ms must be positive".into()));
-        }
-        let max_insts = parse_n("--max-insts")?;
-        if max_insts == Some(0) {
-            return Err(CliError::Config("--max-insts must be positive".into()));
-        }
+        let args = cli::parse(args, FLAGS, 0)?;
+        let deadline_ms = args.positive::<u64>("--deadline-ms")?;
         // The server always carries a wall-clock ceiling so no request
         // can wedge a worker forever, even when the client sets nothing.
         let default_budget = StepBudget {
-            max_executed_insts: max_insts,
+            max_executed_insts: args.positive("--max-insts")?,
             max_wall: Some(Duration::from_millis(deadline_ms.unwrap_or(30_000))),
         };
         Ok(ServeOptions {
-            tcp: flag("--tcp").map(str::to_string),
-            port_file: flag("--port-file").map(PathBuf::from),
-            state: flag("--state").map(PathBuf::from),
-            workers,
-            queue_depth: parse_n("--queue-depth")?.unwrap_or(8) as usize,
-            cache_capacity: parse_n("--cache-capacity")?.unwrap_or(256).max(1) as usize,
+            tcp: args.str("--tcp").map(str::to_string),
+            port_file: args.str("--port-file").map(PathBuf::from),
+            state: args.str("--state").map(PathBuf::from),
+            workers: args.positive("--workers")?.unwrap_or_else(parallel::max_workers),
+            queue_depth: args.num("--queue-depth")?.unwrap_or(8),
+            cache_capacity: args.num("--cache-capacity")?.unwrap_or(256).max(1),
             default_budget,
             write_timeout: Duration::from_millis(
-                parse_n("--write-timeout-ms")?.filter(|&n| n > 0).unwrap_or(5_000),
+                args.num("--write-timeout-ms")?.filter(|&n| n > 0).unwrap_or(5_000),
             ),
         })
     }
@@ -472,7 +452,7 @@ impl Core {
         let policy = RetryPolicy::default();
         let baseline =
             parallel::run_job_with(SimJob::new(query.app, query.scale, baseline_cfg), policy)?;
-        let candidate = if query.governor == "baseline" {
+        let candidate = if query.cfg.governor == GovernorSpec::NoCompression {
             baseline.clone()
         } else {
             parallel::run_job_with(SimJob::new(query.app, query.scale, candidate_cfg), policy)?
@@ -483,7 +463,7 @@ impl Core {
         let payload = json!({
             "app": query.app.name(),
             "scale": query.scale,
-            "governor": query.governor.clone(),
+            "governor": query.cfg.governor.name(),
             "speedup": opt(metrics[0]),
             "forward_progress": opt(metrics[1]),
             "waste_fraction": opt(metrics[2]),

@@ -9,9 +9,11 @@
 //! `"governer"` field would answer a *different question* than the
 //! client asked, with no error to show for it.
 //!
-//! A parsed query is immediately canonicalized: defaults are filled in,
-//! aliases resolved (`"none"` → `"baseline"`, `"sweep"` →
-//! `"sweepcache"`), and the result serialized as a fixed-field-order
+//! The query fields are `simrun`'s configuration flags under the same
+//! names ([`ConfigFields`]): one vocabulary, one resolution, one
+//! validity check. A parsed query is immediately canonicalized: defaults
+//! are filled in, aliases resolved (`"none"` → `"baseline"`, `"sweep"` →
+//! `"SweepCache"`), and the result serialized as a fixed-field-order
 //! fingerprint ([`Query::cache_key`]) — the same shape as the journal
 //! config fingerprints, so two spellings of one configuration share one
 //! cache entry. Deadline and budget fields are deliberately *excluded*
@@ -19,13 +21,16 @@
 //! a non-triggering budget is byte-identical to an unlimited one
 //! (budget-exhausted results are never cached).
 
-use ehs_compress::Algorithm;
-use ehs_energy::{CapacitorConfig, TraceKind};
-use ehs_sim::{EhsDesign, Extension, GovernorSpec, SimConfig, StepBudget};
+use ehs_sim::{SimConfig, StepBudget};
 use ehs_workloads::App;
 use serde_json::{json, Value};
 
-use crate::cli::suggest;
+use crate::cli::{bad_name, lookup, suggest, ConfigFields};
+
+/// Largest `cache` a query may ask for, in bytes: 16× the paper's
+/// largest cache (Fig 1's 4 KiB). Cache state grows with capacity, so an
+/// unbounded value would let one request exhaust the server's memory.
+pub const MAX_CACHE_BYTES: u64 = 64 * 1024;
 
 /// Every field a request object may carry, in canonical order.
 pub const KNOWN_FIELDS: &[&str] = &[
@@ -98,8 +103,6 @@ pub struct Query {
     pub app: App,
     /// Program scale factor (must be positive).
     pub scale: f64,
-    /// Canonical governor name (`"baseline"`, `"kagura"`, …).
-    pub governor: String,
     /// Fully resolved simulation config for the requested governor.
     pub cfg: SimConfig,
     /// Per-request wall-clock deadline in milliseconds, if any.
@@ -115,15 +118,10 @@ impl Query {
     /// deadline/budget fields never enter it (see module docs).
     pub fn cache_key(&self) -> String {
         let d = &self.cfg.system.dcache;
-        let extension = match self.cfg.extension {
-            Extension::None => "none",
-            Extension::Edbp { .. } => "edbp",
-            Extension::Ipex { .. } => "ipex",
-        };
         let fingerprint = json!({
             "app": self.app.name(),
             "scale": self.scale,
-            "governor": self.governor.clone(),
+            "governor": self.cfg.governor.name(),
             "design": self.cfg.design.name(),
             "algorithm": format!("{}", self.cfg.algorithm).to_ascii_lowercase(),
             "trace": format!("{:?}", self.cfg.trace_kind).to_ascii_lowercase(),
@@ -132,7 +130,7 @@ impl Query {
             "ways": u64::from(d.ways),
             "block": u64::from(d.block_size),
             "cap_uf": self.cfg.capacitor.capacitance * 1e6,
-            "extension": extension,
+            "extension": self.cfg.extension.name(),
         });
         serde_json::to_string(&fingerprint).expect("fingerprint serializes")
     }
@@ -152,16 +150,6 @@ impl Query {
 /// malformed line, so even a rejection can be routed back to its
 /// request.
 pub type ParseError = (Value, String);
-
-/// Did-you-mean error for a bad enum value.
-fn bad_enum(field: &str, got: &str, candidates: &[&str]) -> String {
-    match suggest(got, candidates) {
-        Some(nearest) => format!("unknown {field} {got:?} (did you mean {nearest:?}?)"),
-        None => {
-            format!("unknown {field} {got:?} (expected one of: {})", candidates.join(", "))
-        }
-    }
-}
 
 /// Parses and validates one request line. On failure the error carries
 /// the correlation id when one could still be extracted (valid JSON
@@ -211,7 +199,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
         "query" => {
             Ok(Request::Query { id: id.clone(), query: Box::new(parse_query(&value, &id)?) })
         }
-        other => Err(fail(bad_enum("op", other, KNOWN_OPS))),
+        other => Err(fail(bad_name("op", other, KNOWN_OPS))),
     }
 }
 
@@ -240,105 +228,37 @@ fn get_f64(value: &Value, key: &str) -> Result<Option<f64>, String> {
 }
 
 /// Validates the query fields of a `{"op":"query"}` request and
-/// resolves them onto a [`SimConfig`], mirroring `simrun`'s flag
-/// parsing (same aliases, same defaults) so the service answers exactly
-/// what the CLI would.
+/// resolves them onto a [`SimConfig`] through the vocabulary `simrun`'s
+/// flags use ([`ConfigFields`]), so the service answers exactly what the
+/// CLI would.
 fn parse_query(value: &Value, id: &Value) -> Result<Query, ParseError> {
     let fail = |msg: String| (id.clone(), msg);
     let app_name =
         get_str(value, "app").map_err(&fail)?.ok_or_else(|| fail("missing field `app`".into()))?;
-    let app = App::from_name(app_name).ok_or_else(|| {
-        let names: Vec<&str> = App::ALL.iter().map(|a| a.name()).collect();
-        fail(bad_enum("app", app_name, &names))
-    })?;
+    let names = App::ALL.map(App::name);
+    let app = lookup("app", app_name, App::from_name, &names).map_err(&fail)?;
     let scale = get_f64(value, "scale").map_err(&fail)?.unwrap_or(1.0);
     if scale.is_nan() || scale <= 0.0 {
         return Err(fail(format!("field `scale` must be positive, got {scale}")));
     }
-
-    let mut cfg = SimConfig::table1();
-    let mut governor = "baseline".to_string();
-    if let Some(g) = get_str(value, "governor").map_err(&fail)? {
-        const GOVERNORS: &[&str] =
-            &["baseline", "none", "always", "acc", "kagura", "ideal-acc", "ideal-kagura"];
-        (governor, cfg.governor) = match g {
-            "baseline" | "none" => ("baseline".into(), GovernorSpec::NoCompression),
-            "always" => ("always".into(), GovernorSpec::AlwaysCompress),
-            "acc" => ("acc".into(), GovernorSpec::Acc),
-            "kagura" => ("kagura".into(), GovernorSpec::AccKagura(Default::default())),
-            "ideal-acc" => ("ideal-acc".into(), GovernorSpec::IdealAcc),
-            "ideal-kagura" => {
-                ("ideal-kagura".into(), GovernorSpec::IdealAccKagura(Default::default()))
-            }
-            other => return Err(fail(bad_enum("governor", other, GOVERNORS))),
-        };
-    }
-    if let Some(d) = get_str(value, "design").map_err(&fail)? {
-        const DESIGNS: &[&str] = &["nvsram", "nvsramcache", "nvmr", "sweepcache", "sweep"];
-        cfg.design = match d {
-            "nvsram" | "nvsramcache" => EhsDesign::NvsramCache,
-            "nvmr" => EhsDesign::Nvmr,
-            "sweepcache" | "sweep" => EhsDesign::SweepCache,
-            other => return Err(fail(bad_enum("design", other, DESIGNS))),
-        };
-    }
-    if let Some(a) = get_str(value, "algorithm").map_err(&fail)? {
-        const ALGORITHMS: &[&str] = &["bdi", "fpc", "cpack", "c-pack", "dzc", "bpc", "fvc"];
-        cfg.algorithm = match a.to_ascii_lowercase().as_str() {
-            "bdi" => Algorithm::Bdi,
-            "fpc" => Algorithm::Fpc,
-            "cpack" | "c-pack" => Algorithm::CPack,
-            "dzc" => Algorithm::Dzc,
-            "bpc" => Algorithm::Bpc,
-            "fvc" => Algorithm::Fvc,
-            other => return Err(fail(bad_enum("algorithm", other, ALGORITHMS))),
-        };
-    }
-    if let Some(t) = get_str(value, "trace").map_err(&fail)? {
-        const TRACES: &[&str] = &["rfhome", "rf", "solar", "thermal"];
-        cfg.trace_kind = match t.to_ascii_lowercase().as_str() {
-            "rfhome" | "rf" => TraceKind::RfHome,
-            "solar" => TraceKind::Solar,
-            "thermal" => TraceKind::Thermal,
-            other => return Err(fail(bad_enum("trace", other, TRACES))),
-        };
-    }
-    if let Some(seed) = get_u64(value, "seed").map_err(&fail)? {
-        cfg.trace_seed = seed;
-    }
-    let small = |key: &str, n: u64| -> Result<u32, ParseError> {
-        u32::try_from(n).map_err(|_| fail(format!("field `{key}` is out of range")))
+    let fields = ConfigFields {
+        governor: get_str(value, "governor").map_err(&fail)?,
+        design: get_str(value, "design").map_err(&fail)?,
+        algorithm: get_str(value, "algorithm").map_err(&fail)?,
+        trace: get_str(value, "trace").map_err(&fail)?,
+        seed: get_u64(value, "seed").map_err(&fail)?,
+        cache: get_u64(value, "cache").map_err(&fail)?,
+        ways: get_u64(value, "ways").map_err(&fail)?,
+        block: get_u64(value, "block").map_err(&fail)?,
+        cap: get_f64(value, "cap").map_err(&fail)?,
+        extension: get_str(value, "extension").map_err(&fail)?,
     };
-    if let Some(c) = get_u64(value, "cache").map_err(&fail)? {
-        let bytes = small("cache", c)?;
-        cfg.system.icache = cfg.system.icache.with_size(bytes);
-        cfg.system.dcache = cfg.system.dcache.with_size(bytes);
+    if let Some(c) = fields.cache.filter(|&c| c > MAX_CACHE_BYTES) {
+        return Err(fail(format!(
+            "field `cache` must be at most {MAX_CACHE_BYTES} bytes, got {c}"
+        )));
     }
-    if let Some(w) = get_u64(value, "ways").map_err(&fail)? {
-        let ways = small("ways", w)?;
-        cfg.system.icache = cfg.system.icache.with_ways(ways);
-        cfg.system.dcache = cfg.system.dcache.with_ways(ways);
-    }
-    if let Some(b) = get_u64(value, "block").map_err(&fail)? {
-        let bytes = small("block", b)?;
-        cfg.system.icache = cfg.system.icache.with_block_size(bytes);
-        cfg.system.dcache = cfg.system.dcache.with_block_size(bytes);
-    }
-    if let Some(uf) = get_f64(value, "cap").map_err(&fail)? {
-        if uf.is_nan() || uf <= 0.0 {
-            return Err(fail(format!("field `cap` must be positive, got {uf}")));
-        }
-        cfg.capacitor = CapacitorConfig::with_capacitance_uf(uf);
-    }
-    if let Some(e) = get_str(value, "extension").map_err(&fail)? {
-        const EXTENSIONS: &[&str] = &["none", "edbp", "ipex"];
-        cfg.extension = match e {
-            "none" => Extension::None,
-            "edbp" => Extension::edbp(),
-            "ipex" => Extension::ipex(),
-            other => return Err(fail(bad_enum("extension", other, EXTENSIONS))),
-        };
-    }
+    let cfg = fields.resolve().map_err(&fail)?;
     let deadline_ms = get_u64(value, "deadline_ms").map_err(&fail)?;
     let max_insts = get_u64(value, "max_insts").map_err(&fail)?;
     if deadline_ms == Some(0) {
@@ -347,7 +267,7 @@ fn parse_query(value: &Value, id: &Value) -> Result<Query, ParseError> {
     if max_insts == Some(0) {
         return Err(fail("field `max_insts` must be positive".into()));
     }
-    Ok(Query { app, scale, governor, cfg, deadline_ms, max_insts })
+    Ok(Query { app, scale, cfg, deadline_ms, max_insts })
 }
 
 #[cfg(test)]
@@ -409,6 +329,61 @@ mod tests {
         assert!(err.1.contains("`app`"), "{}", err.1);
         let err = parse_request(r#"{"op":"health","app":"sha"}"#).unwrap_err();
         assert!(err.1.contains("not valid for op"), "{}", err.1);
+    }
+
+    fn query(line: &str) -> Query {
+        match parse_request(line) {
+            Ok(Request::Query { query, .. }) => *query,
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cache_keys_keep_their_bytes() {
+        // Keys persist in the serve state file across versions, so each
+        // spelling must keep resolving to these exact bytes.
+        let pinned = [
+            (
+                r#"{"op":"query","app":"sha","scale":0.01}"#,
+                r#"{"app":"sha","scale":0.01,"governor":"baseline","design":"NVSRAMCache","algorithm":"bdi","trace":"rfhome","seed":3653,"cache":256,"ways":2,"block":32,"cap_uf":4.7,"extension":"none"}"#,
+            ),
+            (
+                r#"{"op":"query","app":"crc32","scale":0.1,"governor":"kagura","design":"nvmr","algorithm":"c-pack","trace":"rf","seed":7,"cap":1}"#,
+                r#"{"app":"crc32","scale":0.1,"governor":"kagura","design":"NvMR","algorithm":"c-pack","trace":"rfhome","seed":7,"cache":256,"ways":2,"block":32,"cap_uf":1.0,"extension":"none"}"#,
+            ),
+            (
+                r#"{"op":"query","app":"jpegd","governor":"ideal-kagura","design":"sweep","algorithm":"FPC","trace":"thermal","cache":1024,"ways":4,"block":64,"cap":10,"extension":"ipex"}"#,
+                r#"{"app":"jpegd","scale":1.0,"governor":"ideal-kagura","design":"SweepCache","algorithm":"fpc","trace":"thermal","seed":3653,"cache":1024,"ways":4,"block":64,"cap_uf":10.0,"extension":"ipex"}"#,
+            ),
+            (
+                r#"{"op":"query","app":"g721d","scale":0.5,"governor":"none","design":"nvsramcache","algorithm":"dzc","trace":"solar","extension":"edbp","cap":4.7}"#,
+                r#"{"app":"g721d","scale":0.5,"governor":"baseline","design":"NVSRAMCache","algorithm":"dzc","trace":"solar","seed":3653,"cache":256,"ways":2,"block":32,"cap_uf":4.7,"extension":"edbp"}"#,
+            ),
+        ];
+        for (line, key) in pinned {
+            assert_eq!(query(line).cache_key(), key, "{line}");
+        }
+    }
+
+    #[test]
+    fn invalid_geometry_capacitance_and_oversized_caches_are_bad_requests() {
+        for (fields, want) in [
+            (r#""cache":7"#, "inconsistent cache geometry"),
+            (r#""ways":0"#, "inconsistent cache geometry"),
+            (r#""block":3"#, "power of two"),
+            (r#""cache":768"#, "set count must be a power of two"),
+            (r#""cap":0"#, "capacitance"),
+            (r#""cap":-4.7"#, "capacitance"),
+            (r#""ways":4294967296"#, "out of range"),
+            (r#""cache":67108864"#, "at most 65536 bytes"),
+        ] {
+            let line = format!(r#"{{"op":"query","id":1,"app":"sha",{fields}}}"#);
+            let (id, detail) = parse_request(&line).unwrap_err();
+            assert!(detail.contains(want), "{fields}: {detail}");
+            assert_eq!(id, Value::U64(1));
+        }
+        let largest = format!(r#"{{"op":"query","app":"sha","cache":{MAX_CACHE_BYTES}}}"#);
+        assert_eq!(query(&largest).cfg.system.dcache.size_bytes, 65536);
     }
 
     #[test]

@@ -26,6 +26,10 @@ use crate::{passthrough, validate_block, Algorithm, CompressedBlock, Compressor,
 /// Number of bit-planes after the delta transform (32-bit deltas + carry).
 const PLANES: u32 = 33;
 
+/// Largest block BPC encodes: each bit-plane holds one bit per word
+/// delta in a `u64`, so at most 64 words.
+pub const MAX_BLOCK_BYTES: u32 = 64 * 4;
+
 /// The Bit-Plane Compression engine.
 ///
 /// # Examples

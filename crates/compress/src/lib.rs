@@ -183,6 +183,33 @@ impl Algorithm {
         }
     }
 
+    /// Every spelling [`Algorithm::from_name`] accepts.
+    pub const NAMES: &'static [&'static str] =
+        &["bdi", "fpc", "cpack", "c-pack", "dzc", "bpc", "fvc"];
+
+    /// Parses an algorithm name, case-insensitively (see
+    /// [`Algorithm::NAMES`]).
+    pub fn from_name(name: &str) -> Option<Algorithm> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "bdi" => Algorithm::Bdi,
+            "fpc" => Algorithm::Fpc,
+            "cpack" | "c-pack" => Algorithm::CPack,
+            "dzc" => Algorithm::Dzc,
+            "bpc" => Algorithm::Bpc,
+            "fvc" => Algorithm::Fvc,
+            _ => return None,
+        })
+    }
+
+    /// Largest block this algorithm encodes, in bytes (only BPC has a
+    /// limit, [`bpc::MAX_BLOCK_BYTES`]).
+    pub fn max_block_bytes(self) -> u32 {
+        match self {
+            Algorithm::Bpc => bpc::MAX_BLOCK_BYTES,
+            _ => u32::MAX,
+        }
+    }
+
     /// Instantiates the compressor for this algorithm with default costs.
     pub fn compressor(self) -> AnyCompressor {
         match self {

@@ -105,6 +105,19 @@ impl TraceKind {
             TraceKind::Thermal => "Thermal",
         }
     }
+
+    /// Every spelling [`TraceKind::from_name`] accepts.
+    pub const NAMES: &'static [&'static str] = &["rfhome", "rf", "solar", "thermal"];
+
+    /// Parses a source name, case-insensitively (see [`TraceKind::NAMES`]).
+    pub fn from_name(name: &str) -> Option<TraceKind> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "rfhome" | "rf" => TraceKind::RfHome,
+            "solar" => TraceKind::Solar,
+            "thermal" => TraceKind::Thermal,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for TraceKind {

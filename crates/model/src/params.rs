@@ -86,17 +86,29 @@ impl CacheParams {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (capacity not divisible into
-    /// `ways * block_size` sets, or a non-power-of-two set count).
+    /// Panics if the geometry is inconsistent (see
+    /// [`checked_num_sets`](Self::checked_num_sets)).
     pub fn num_sets(&self) -> u32 {
-        let set_bytes = self.ways * self.block_size;
-        assert!(
-            set_bytes > 0 && self.size_bytes.is_multiple_of(set_bytes),
-            "inconsistent cache geometry"
-        );
+        self.checked_num_sets().unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// Number of sets implied by the geometry, or why there is none: the
+    /// capacity must divide into `ways * block_size` sets, and the set
+    /// count must be a power of two.
+    ///
+    /// # Errors
+    ///
+    /// Names the violated rule.
+    pub fn checked_num_sets(&self) -> Result<u32, &'static str> {
+        let set_bytes = self.ways.checked_mul(self.block_size).unwrap_or(0);
+        if set_bytes == 0 || !self.size_bytes.is_multiple_of(set_bytes) {
+            return Err("inconsistent cache geometry");
+        }
         let sets = self.size_bytes / set_bytes;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        sets
+        if !sets.is_power_of_two() {
+            return Err("set count must be a power of two");
+        }
+        Ok(sets)
     }
 
     /// Total leakage power of this cache while the core is powered.
@@ -281,6 +293,9 @@ mod tests {
         assert_eq!(CacheParams::table1().with_size(4096).num_sets(), 64);
         assert_eq!(CacheParams::table1().with_ways(1).num_sets(), 8);
         assert_eq!(CacheParams::table1().with_block_size(16).num_sets(), 8);
+        let bad = |p: CacheParams| p.checked_num_sets().unwrap_err();
+        assert_eq!(bad(CacheParams::table1().with_size(768)), "set count must be a power of two");
+        assert_eq!(bad(CacheParams::table1().with_ways(u32::MAX)), "inconsistent cache geometry");
     }
 
     #[test]

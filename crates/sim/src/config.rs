@@ -34,6 +34,22 @@ impl EhsDesign {
     }
 }
 
+impl EhsDesign {
+    /// Every spelling [`EhsDesign::from_name`] accepts.
+    pub const NAMES: &'static [&'static str] =
+        &["nvsram", "nvsramcache", "nvmr", "sweepcache", "sweep"];
+
+    /// Parses a design name, case-insensitively (see [`EhsDesign::NAMES`]).
+    pub fn from_name(name: &str) -> Option<EhsDesign> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "nvsram" | "nvsramcache" => EhsDesign::NvsramCache,
+            "nvmr" => EhsDesign::Nvmr,
+            "sweepcache" | "sweep" => EhsDesign::SweepCache,
+            _ => return None,
+        })
+    }
+}
+
 impl std::fmt::Display for EhsDesign {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -71,6 +87,29 @@ impl Extension {
     /// The paper's IPEX configuration.
     pub fn ipex() -> Self {
         Extension::Ipex { min_energy_fraction: 0.25 }
+    }
+
+    /// Every spelling [`Extension::from_name`] accepts.
+    pub const NAMES: &'static [&'static str] = &["none", "edbp", "ipex"];
+
+    /// Parses an extension name, case-insensitively, into the paper's
+    /// configuration of that extension.
+    pub fn from_name(name: &str) -> Option<Extension> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "none" => Extension::None,
+            "edbp" => Extension::edbp(),
+            "ipex" => Extension::ipex(),
+            _ => return None,
+        })
+    }
+
+    /// Canonical name: the spelling [`Extension::from_name`] documents.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Extension::None => "none",
+            Extension::Edbp { .. } => "edbp",
+            Extension::Ipex { .. } => "ipex",
+        }
     }
 }
 
@@ -114,13 +153,59 @@ impl GovernorSpec {
     pub fn is_ideal(&self) -> bool {
         matches!(self, GovernorSpec::IdealAcc | GovernorSpec::IdealAccKagura(_))
     }
+
+    /// Every spelling [`GovernorSpec::from_name`] accepts: the canonical
+    /// names, then the aliases.
+    pub const NAMES: &'static [&'static str] = &[
+        "baseline",
+        "always",
+        "acc",
+        "kagura",
+        "ideal-acc",
+        "ideal-kagura",
+        "rand-threshold",
+        "none",
+        "nocompression",
+        "alwayscompress",
+        "acckagura",
+        "rand_threshold",
+    ];
+
+    /// Parses a governor name, case-insensitively (see
+    /// [`GovernorSpec::NAMES`]); configurable governors get their
+    /// default configuration.
+    pub fn from_name(name: &str) -> Option<GovernorSpec> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "baseline" | "none" | "nocompression" => GovernorSpec::NoCompression,
+            "always" | "alwayscompress" => GovernorSpec::AlwaysCompress,
+            "acc" => GovernorSpec::Acc,
+            "kagura" | "acckagura" => GovernorSpec::AccKagura(Default::default()),
+            "ideal-acc" => GovernorSpec::IdealAcc,
+            "ideal-kagura" => GovernorSpec::IdealAccKagura(Default::default()),
+            "rand-threshold" | "rand_threshold" => GovernorSpec::RandThreshold(Default::default()),
+            _ => return None,
+        })
+    }
+
+    /// Canonical name (`simrun --governor`, serve cache keys).
+    pub fn name(&self) -> &'static str {
+        match self {
+            GovernorSpec::NoCompression => "baseline",
+            GovernorSpec::AlwaysCompress => "always",
+            GovernorSpec::Acc => "acc",
+            GovernorSpec::AccKagura(_) => "kagura",
+            GovernorSpec::IdealAcc => "ideal-acc",
+            GovernorSpec::IdealAccKagura(_) => "ideal-kagura",
+            GovernorSpec::RandThreshold(_) => "rand-threshold",
+        }
+    }
 }
 
 /// A policy/configuration combination rejected *before* a run starts.
 ///
 /// These used to be mid-run panics; surfacing them as values lets batch
 /// drivers report one bad grid point instead of aborting a whole sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// A two-phase ideal run was given a recording governor whose policy
     /// family does not match the spec it must replay against (e.g. a
@@ -137,6 +222,24 @@ pub enum ConfigError {
         /// The offending governor's name.
         governor: &'static str,
     },
+    /// A cache geometry the simulated cache cannot be built with.
+    CacheGeometry {
+        /// `"icache"` or `"dcache"`.
+        cache: &'static str,
+        /// The violated rule.
+        rule: &'static str,
+        /// Capacity in bytes.
+        size_bytes: u32,
+        /// Associativity.
+        ways: u32,
+        /// Block size in bytes.
+        block_size: u32,
+    },
+    /// A capacitance that is not a positive, finite number of farads.
+    Capacitance {
+        /// The offending capacitance in farads.
+        farads: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -149,6 +252,12 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::NotARecorder { governor } => {
                 write!(f, "{governor} is not an oracle-recording governor")
+            }
+            ConfigError::CacheGeometry { cache, rule, size_bytes, ways, block_size } => {
+                write!(f, "{rule}: {cache} of {size_bytes} B, {ways} way(s), {block_size} B blocks")
+            }
+            ConfigError::Capacitance { farads } => {
+                write!(f, "capacitance must be positive and finite, got {} uF", farads * 1e6)
             }
         }
     }
@@ -326,13 +435,47 @@ pub struct SimConfig {
     /// lets nearly-dead traces (where `Capacitor::drain` zero-clamps)
     /// finish while still surfacing the drift.
     pub audit_strict: bool,
-    /// Absolute epsilon for the per-cycle ledger audit
-    /// ([`ehs_energy::ledger::DEFAULT_EPSILON`] by default; the audit
-    /// adds a relative term on top, see `LedgerRow::tolerance`).
-    pub ledger_epsilon: Energy,
 }
 
 impl SimConfig {
+    /// Checks what outside input can set before a run is built from
+    /// this config: each cache's geometry
+    /// ([`CacheParams::checked_num_sets`](ehs_model::CacheParams::checked_num_sets),
+    /// plus a power-of-two block of whole compression segments that fits
+    /// in NVM and that the algorithm can encode) and the capacitance. The
+    /// simulator asserts the same rules as internal invariants.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::CacheGeometry`] or [`ConfigError::Capacitance`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (cache, p) in [("icache", &self.system.icache), ("dcache", &self.system.dcache)] {
+            let block_rule = if !p.block_size.is_power_of_two()
+                || !p.block_size.is_multiple_of(ehs_cache::SEGMENT_BYTES)
+            {
+                Err("block size must be a power of two and a multiple of 8")
+            } else if u64::from(p.block_size) > self.system.nvm.size_bytes {
+                Err("block size exceeds the NVM capacity")
+            } else if p.block_size > self.algorithm.max_block_bytes() {
+                Err("block size exceeds the largest block the algorithm encodes")
+            } else {
+                Ok(())
+            };
+            block_rule.and(p.checked_num_sets()).map_err(|rule| ConfigError::CacheGeometry {
+                cache,
+                rule,
+                size_bytes: p.size_bytes,
+                ways: p.ways,
+                block_size: p.block_size,
+            })?;
+        }
+        let farads = self.capacitor.capacitance;
+        if !(farads > 0.0 && farads.is_finite()) {
+            return Err(ConfigError::Capacitance { farads });
+        }
+        Ok(())
+    }
+
     /// The paper's Table I platform: NVSRAMCache, 4.7 µF, BDI, RFHome
     /// trace, no compression (the baseline the figures normalise to).
     pub fn table1() -> Self {
@@ -351,7 +494,6 @@ impl SimConfig {
             exec: ExecMode::FastForward,
             record_cycles: true,
             audit_strict: false,
-            ledger_epsilon: ehs_energy::ledger::DEFAULT_EPSILON,
         }
     }
 
@@ -415,6 +557,60 @@ mod tests {
     }
 
     #[test]
+    fn every_name_resolves_case_insensitively() {
+        fn check<T: PartialEq + std::fmt::Debug>(names: &[&str], from_name: fn(&str) -> Option<T>) {
+            for name in names {
+                let value = from_name(name).unwrap_or_else(|| panic!("{name} must resolve"));
+                assert_eq!(from_name(&name.to_ascii_uppercase()), Some(value), "{name}");
+            }
+            assert_eq!(from_name("zorp"), None);
+        }
+        check(GovernorSpec::NAMES, GovernorSpec::from_name);
+        check(EhsDesign::NAMES, EhsDesign::from_name);
+        check(Extension::NAMES, Extension::from_name);
+        check(Algorithm::NAMES, Algorithm::from_name);
+        check(TraceKind::NAMES, TraceKind::from_name);
+        for name in GovernorSpec::NAMES {
+            let spec = GovernorSpec::from_name(name).unwrap();
+            assert_eq!(GovernorSpec::from_name(spec.name()), Some(spec), "{name}");
+        }
+        assert_eq!(GovernorSpec::from_name("AccKagura").unwrap().name(), "kagura");
+        assert_eq!(Extension::from_name("EDBP").unwrap().name(), "edbp");
+        assert_eq!(EhsDesign::from_name("NvMR"), Some(EhsDesign::Nvmr));
+        assert_eq!(Algorithm::from_name("C-Pack"), Some(Algorithm::CPack));
+    }
+
+    #[test]
+    fn validate_rejects_what_the_simulator_cannot_build() {
+        assert_eq!(SimConfig::table1().validate(), Ok(()));
+        let with_d = |f: fn(ehs_model::CacheParams) -> ehs_model::CacheParams| {
+            let mut cfg = SimConfig::table1();
+            cfg.system.dcache = f(cfg.system.dcache);
+            cfg
+        };
+        let rule = |cfg: SimConfig| match cfg.validate() {
+            Err(ConfigError::CacheGeometry { cache: "dcache", rule, .. }) => rule,
+            other => panic!("expected a dcache geometry error, got {other:?}"),
+        };
+        assert_eq!(rule(with_d(|d| d.with_size(7))), "inconsistent cache geometry");
+        assert_eq!(rule(with_d(|d| d.with_ways(0))), "inconsistent cache geometry");
+        assert_eq!(rule(with_d(|d| d.with_size(768))), "set count must be a power of two");
+        assert!(rule(with_d(|d| d.with_block_size(4))).contains("power of two"));
+        assert!(
+            rule(with_d(|d| d.with_block_size(24).with_size(48).with_ways(1))).contains("power")
+        );
+        let big_blocks = with_d(|d| d.with_size(1024).with_block_size(512));
+        assert_eq!(big_blocks.validate(), Ok(()));
+        let bpc = SimConfig { algorithm: Algorithm::Bpc, ..big_blocks };
+        assert!(rule(bpc).contains("algorithm"));
+        let mut cfg = SimConfig::table1();
+        cfg.capacitor.capacitance = 0.0;
+        assert_eq!(cfg.validate(), Err(ConfigError::Capacitance { farads: 0.0 }));
+        cfg.capacitor.capacitance = f64::INFINITY;
+        assert!(cfg.validate().unwrap_err().to_string().contains("capacitance"));
+    }
+
+    #[test]
     fn step_budget_defaults_to_unlimited() {
         let cfg = SimConfig::table1();
         assert!(cfg.step_budget.is_unlimited());
@@ -447,7 +643,6 @@ mod tests {
     fn ledger_audit_defaults_lenient() {
         let cfg = SimConfig::table1();
         assert!(!cfg.audit_strict);
-        assert_eq!(cfg.ledger_epsilon, ehs_energy::ledger::DEFAULT_EPSILON);
         assert!(SimConfig::table1().with_audit_strict(true).audit_strict);
     }
 

@@ -1130,7 +1130,7 @@ impl<'p> Simulator<'p> {
     /// demands strict auditing (`--audit-strict`; the panic is contained
     /// by the parallel pool's fault machinery in batch runs).
     fn audit_ledger(&mut self, row: &LedgerRow) {
-        if let Err(imbalance) = row.audit(self.cfg.ledger_epsilon) {
+        if let Err(imbalance) = row.audit(ehs_energy::ledger::DEFAULT_EPSILON) {
             self.stats.ledger_violations += 1;
             if let Some((t, _)) = self.telemetry.as_mut() {
                 t.emit(

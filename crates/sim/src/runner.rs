@@ -1,6 +1,5 @@
 //! Convenience entry points used by examples, tests and the bench harness.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ehs_energy::{PowerTrace, TraceKind};
@@ -25,11 +24,13 @@ const DEFAULT_TRACE_LEN: usize = 4_000_000;
 /// that many distinct traces are simultaneously in use.
 const TRACE_CACHE_IDLE_CAP: usize = 8;
 
-type TraceCache = Mutex<HashMap<(TraceKind, u64), Arc<PowerTrace>>>;
+/// Cached traces in recency order, least recently used first.
+type TraceCache = Mutex<Vec<TraceEntry>>;
+type TraceEntry = ((TraceKind, u64), Arc<PowerTrace>);
 
 fn trace_cache() -> &'static TraceCache {
     static CACHE: OnceLock<TraceCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+    CACHE.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// Current number of cached traces (bounded-cache regression tests).
@@ -42,40 +43,48 @@ fn trace_cache_len() -> usize {
 /// default power trace. Generation is deterministic per `(kind, seed)`, so
 /// sharing one copy across the many runs of an experiment sweep is both
 /// safe and substantially faster. The cache is bounded: once it exceeds
-/// [`TRACE_CACHE_IDLE_CAP`] entries, traces no longer borrowed by any
-/// caller are evicted, keeping resident memory flat even when every run
-/// uses a fresh seed (fleet campaigns).
+/// [`TRACE_CACHE_IDLE_CAP`] entries, the least recently used traces no
+/// longer borrowed by any caller are evicted, keeping resident memory flat
+/// even when every run uses a fresh seed (fleet campaigns). Which trace
+/// goes depends only on the order of the calls, so a caller that keeps
+/// coming back to its trace never pays for it twice.
 ///
 /// Concurrency: two workers racing on the same key may both generate the
-/// trace; the second insert wins and the copies are identical (generation
-/// is deterministic), so callers always observe equivalent data. The lock
+/// trace; the first insert wins and the second caller gets that copy
+/// (generation is deterministic, so the copies are identical). The lock
 /// is never held across generation, and a panicked worker elsewhere in
 /// the sweep cannot wedge the cache — poisoning is recovered, since the
-/// map is only ever mutated by complete `insert`/`remove` calls.
+/// list is only ever mutated by complete `push`/`remove`/`retain` calls.
 pub fn default_trace(cfg: &SimConfig) -> Arc<PowerTrace> {
-    let cache = trace_cache();
     let key = (cfg.trace_kind, cfg.trace_seed);
-    if let Some(trace) = cache.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-        return Arc::clone(trace);
+    let lock = || trace_cache().lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(trace) = touch(&mut lock(), key) {
+        return trace;
     }
     let trace = Arc::new(PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, DEFAULT_TRACE_LEN));
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    map.insert(key, Arc::clone(&trace));
-    if map.len() > TRACE_CACHE_IDLE_CAP {
-        // Evict whatever nobody is running on (strong_count 1 = only the
-        // cache holds it); in-flight traces stay shared until dropped.
-        let excess = map.len() - TRACE_CACHE_IDLE_CAP;
-        let mut evictable: Vec<(TraceKind, u64)> = map
-            .iter()
-            .filter(|&(k, v)| Arc::strong_count(v) == 1 && *k != key)
-            .map(|(k, _)| *k)
-            .collect();
-        evictable.truncate(excess);
-        for k in evictable {
-            map.remove(&k);
-        }
+    let mut lru = lock();
+    if let Some(won) = touch(&mut lru, key) {
+        return won;
     }
+    lru.push((key, Arc::clone(&trace)));
+    let mut excess = lru.len().saturating_sub(TRACE_CACHE_IDLE_CAP);
+    // Evict the oldest entries nobody is running on (strong_count 1 =
+    // only the cache holds it); in-flight traces stay shared until dropped.
+    lru.retain(|(k, v)| {
+        let evict = excess > 0 && Arc::strong_count(v) == 1 && *k != key;
+        excess -= usize::from(evict);
+        !evict
+    });
     trace
+}
+
+/// The cached trace for `key`, marked most recently used.
+fn touch(lru: &mut Vec<TraceEntry>, key: (TraceKind, u64)) -> Option<Arc<PowerTrace>> {
+    let i = lru.iter().position(|(k, _)| *k == key)?;
+    let entry = lru.remove(i);
+    let trace = Arc::clone(&entry.1);
+    lru.push(entry);
+    Some(trace)
 }
 
 /// Runs `program` under `cfg` with the given trace.
@@ -292,6 +301,24 @@ mod tests {
         let a = default_trace(&cfg);
         let b = default_trace(&cfg);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn trace_cache_evicts_least_recently_used_first() {
+        // A trace its caller keeps coming back to must survive any number
+        // of fresh seeds passing through: eviction takes the oldest idle
+        // entry, never an arbitrary one.
+        let mut kept = SimConfig::table1();
+        kept.trace_seed = 0x1EA5_7000;
+        let first = Arc::downgrade(&default_trace(&kept));
+        let mut fresh = SimConfig::table1();
+        for seed in 0..TRACE_CACHE_IDLE_CAP as u64 + 4 {
+            drop(default_trace(&kept));
+            fresh.trace_seed = 0x1EA5_7001 + seed;
+            drop(default_trace(&fresh));
+        }
+        let again = default_trace(&kept);
+        assert!(first.upgrade().is_some_and(|t| Arc::ptr_eq(&t, &again)), "kept trace was evicted");
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //! # Overhead contract
 //!
 //! Event emission sites compile to a branch on `Option::is_some` when
-//! telemetry is detached; the `run_app` criterion bench guards this at
-//! ≤ 2 % regression. Span creation with spans disabled is one relaxed
+//! telemetry is detached; `simbench` (the ci.sh throughput gate, run with
+//! nothing attached) and perfbench's `sim.ns_per_inst` measure that
+//! detached loop. Span creation with spans disabled is one relaxed
 //! atomic load (labels are built lazily).
 
 pub mod event;

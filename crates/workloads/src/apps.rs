@@ -108,9 +108,9 @@ impl App {
         }
     }
 
-    /// Parses a benchmark name.
+    /// Parses a benchmark name, case-insensitively.
     pub fn from_name(name: &str) -> Option<App> {
-        App::ALL.into_iter().find(|a| a.name() == name)
+        App::ALL.into_iter().find(|a| a.name().eq_ignore_ascii_case(name))
     }
 
     /// Builds the program. `scale` multiplies every trip count (1.0 ≈
