@@ -10,7 +10,7 @@ echo "== cargo fmt --check =="
 cargo fmt --all --check
 
 echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo test =="
 cargo test -q --workspace --offline
@@ -193,6 +193,7 @@ expect_exit 2 "$REPRO" --scael 1                  # usage: misspelled flag
 expect_exit 3 "$REPRO" nosuchexperiment           # config: unknown experiment
 expect_exit 3 "$SIMRUN" sha --cache 7             # config: inconsistent cache geometry
 expect_exit 3 "$SIMRUN" sha --cap 0               # config: non-positive capacitance
+expect_exit 3 "$SIMRUN" sha --inject-at 5 --inject-fault tron  # config: misspelled fault kind
 cargo build --release --offline -q -p kagura-bench --bin simbench --bin bench --bin tracegen
 expect_exit 2 target/release/simbench --scael 1   # usage: misspelled flag
 expect_exit 2 target/release/bench --scael 1      # usage: misspelled flag

@@ -433,12 +433,9 @@ fn run() -> Result<(), CliError> {
                         .into(),
                 ));
             }
-            let kind = match args.str("--inject-fault").unwrap_or("power") {
-                "power" => FaultKind::PowerFailure,
-                "torn" => FaultKind::TornCheckpoint { persist_blocks: 0 },
-                "corrupt" => FaultKind::CorruptPayload { bit: 5 },
-                other => return Err(CliError::Config(format!("unknown fault kind {other:?}"))),
-            };
+            let name = args.str("--inject-fault").unwrap_or("power");
+            let kind = lookup("fault kind", name, FaultKind::from_name, FaultKind::NAMES)
+                .map_err(CliError::Config)?;
             Some((at, kind))
         }
         None => {

@@ -303,8 +303,10 @@ mod tests {
 
     #[test]
     fn save_writes_nested_keys_in_sorted_order() {
-        let mut ctx = ExpContext::default();
-        ctx.out_dir = std::env::temp_dir().join("kagura_save_sorted_test");
+        let ctx = ExpContext {
+            out_dir: std::env::temp_dir().join("kagura_save_sorted_test"),
+            ..ExpContext::default()
+        };
         let inner = serde_json::json!({"z": 1, "y": {"d": 2, "c": 3}});
         ctx.save("sorted", &serde_json::json!({"b": 1, "a": [inner], "C": null}));
         let text = fs::read_to_string(ctx.out_dir.join("sorted.json")).unwrap();

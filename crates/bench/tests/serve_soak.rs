@@ -30,7 +30,7 @@ fn tmp(name: &str) -> PathBuf {
 fn spawn_server(dir: &Path, extra: &[&str]) -> (Child, String) {
     let port_file = dir.join("port");
     let _ = std::fs::remove_file(&port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_simrun"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_simrun"))
         .arg("serve")
         .args(["--tcp", "127.0.0.1:0"])
         .args(["--port-file", port_file.to_str().unwrap()])
@@ -42,15 +42,20 @@ fn spawn_server(dir: &Path, extra: &[&str]) -> (Child, String) {
         .spawn()
         .expect("spawn simrun serve");
     let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        if let Ok(addr) = std::fs::read_to_string(&port_file) {
-            if !addr.trim().is_empty() {
-                return (child, addr.trim().to_string());
-            }
+    let addr = loop {
+        let addr = std::fs::read_to_string(&port_file).unwrap_or_default();
+        if !addr.trim().is_empty() {
+            break addr.trim().to_string();
         }
-        assert!(Instant::now() < deadline, "server never wrote its port file");
+        if Instant::now() >= deadline {
+            // Reap the server before failing, so it does not outlive the test.
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("server never wrote its port file");
+        }
         std::thread::sleep(Duration::from_millis(20));
-    }
+    };
+    (child, addr)
 }
 
 /// One request/response round trip on a fresh connection.

@@ -15,9 +15,19 @@
 //!
 //! Traces are cyclic: reading past the end wraps, so arbitrarily long runs
 //! draw from the same (deterministic) energy sequence.
+//!
+//! A generated trace is filled on demand, in sample order: it keeps the
+//! seeded RNG and the source's process state and generates the next chunk
+//! of samples when a read first reaches it. Runs use a few percent of a
+//! 40 s trace, so they pay for that prefix only. The stream itself is the
+//! one an eager loop would produce, bit for bit.
 
+use std::cell::UnsafeCell;
 use std::fmt;
 use std::io::{self, BufRead, Write};
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use ehs_model::{Power, SimTime};
 use rand::rngs::StdRng;
@@ -126,8 +136,23 @@ impl fmt::Display for TraceKind {
     }
 }
 
+/// Samples generated per fill of a lazy trace: a run that reaches sample
+/// `k` pays for the first `k + 1` rounded up to a multiple of this
+/// (32 KiB, well under a millisecond of generation).
+const FILL_CHUNK: usize = 4096;
+
+/// One sample slot: uninitialised until filled, then written once through
+/// a shared reference (hence the cell).
+type Slot = MaybeUninit<UnsafeCell<Power>>;
+
 /// A replayable harvested-power trace: one average-power sample per
 /// [`TRACE_INTERVAL`].
+///
+/// A generated trace is filled on demand: reading sample `k` generates
+/// every sample up to it (in chunks of [`FILL_CHUNK`]) if no earlier read
+/// has, so a run pays only for the prefix it reaches, in time and in
+/// resident memory. The values do not depend on the order or the thread
+/// of the reads.
 ///
 /// # Examples
 ///
@@ -139,20 +164,39 @@ impl fmt::Display for TraceKind {
 /// let p = trace.power_at(SimTime::from_millis(1.0));
 /// assert!(p.microwatts() >= 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
-    samples: Vec<Power>,
+    /// `len` slots, allocated but untouched until filled. Slots below
+    /// `filled` hold samples and are never written again.
+    slots: Box<[Slot]>,
+    /// Number of leading slots filled. Grows only under `source`'s lock;
+    /// its Release store publishes the slots below it.
+    filled: AtomicUsize,
+    /// Generator of the unfilled tail, positioned at sample `filled`;
+    /// `None` once every slot is filled.
+    source: Mutex<Option<Generator>>,
 }
 
+// SAFETY: `filled` is atomic and `source` a `Mutex` over plain data, so
+// both are `Sync`; `slots` is the one field that is not. The only
+// mutation of `slots` through `&PowerTrace` is `fill_through` writing
+// slots at or above `filled`, under `source`'s lock, before the Release
+// store of `filled` that covers them. Readers touch only slots below an
+// Acquire load of `filled`. So no slot is read while it is written and no
+// two threads write one slot, and pool workers may share a trace through
+// `Arc`.
+unsafe impl Sync for PowerTrace {}
+
 impl PowerTrace {
-    /// Wraps raw samples into a trace.
+    /// Wraps raw samples into a (fully filled) trace.
     ///
     /// # Panics
     ///
     /// Panics if `samples` is empty.
     pub fn from_samples(samples: Vec<Power>) -> Self {
         assert!(!samples.is_empty(), "a power trace needs at least one sample");
-        PowerTrace { samples }
+        let slots: Box<[Slot]> =
+            samples.into_iter().map(|p| MaybeUninit::new(UnsafeCell::new(p))).collect();
+        PowerTrace { filled: AtomicUsize::new(slots.len()), slots, source: Mutex::new(None) }
     }
 
     /// A constant-power trace (useful for tests and idealised studies).
@@ -160,59 +204,24 @@ impl PowerTrace {
         Self::from_samples(vec![power; len.max(1)])
     }
 
-    /// Generates a synthetic trace of `len` 10 µs samples for the given
-    /// source, deterministically from `seed`.
+    /// A synthetic trace of `len` 10 µs samples for the given source,
+    /// deterministically from `seed`.
+    ///
+    /// Costs O(1) in `len`: the samples are generated on first read (see
+    /// [`PowerTrace`]), and sample `i` is the same value whether the
+    /// trace is read in order, out of order, or all at once.
     pub fn generate(kind: TraceKind, seed: u64, len: usize) -> Self {
         assert!(len > 0, "trace length must be positive");
-        let mut rng = StdRng::seed_from_u64(seed ^ (kind as u64) << 32);
-        let mut samples = Vec::with_capacity(len);
-        match kind {
-            TraceKind::RfHome => {
-                // Two-state Markov: bursts of strong RF between quiet gaps.
-                // Mean ~50 uW with high variance.
-                let mut bursting = false;
-                let mut level_uw = 0.0f64;
-                for _ in 0..len {
-                    if bursting {
-                        // Bursts last ~2 ms on average.
-                        if rng.gen::<f64>() < 0.005 {
-                            bursting = false;
-                        }
-                    } else if rng.gen::<f64>() < 0.003 {
-                        bursting = true;
-                        // Heavy-tailed burst amplitude: 60..400 uW.
-                        level_uw = 60.0 + 340.0 * rng.gen::<f64>().powi(3);
-                    }
-                    let base = if bursting { level_uw } else { 8.0 };
-                    let noise = 1.0 + 0.15 * (rng.gen::<f64>() - 0.5);
-                    samples.push(Power::from_microwatts((base * noise).max(0.0)));
-                }
-            }
-            TraceKind::Solar => {
-                // Slow irradiance drift (OU process) around 60 uW plus
-                // small flicker; rarely drops low.
-                let mut x = 0.0f64; // OU state
-                for i in 0..len {
-                    let slow = 60.0 + 15.0 * ((i as f64) * 2.0e-5).sin();
-                    x += 0.002 * (0.0 - x) + 0.8 * (rng.gen::<f64>() - 0.5);
-                    let flicker = 1.0 + 0.05 * (rng.gen::<f64>() - 0.5);
-                    samples.push(Power::from_microwatts(((slow + x) * flicker).max(0.0)));
-                }
-            }
-            TraceKind::Thermal => {
-                // Nearly constant gradient: 50 uW with 3% noise.
-                for _ in 0..len {
-                    let noise = 1.0 + 0.06 * (rng.gen::<f64>() - 0.5);
-                    samples.push(Power::from_microwatts(50.0 * noise));
-                }
-            }
+        PowerTrace {
+            slots: Box::<[UnsafeCell<Power>]>::new_uninit_slice(len),
+            filled: AtomicUsize::new(0),
+            source: Mutex::new(Some(Generator::new(kind, seed))),
         }
-        PowerTrace { samples }
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.slots.len()
     }
 
     /// Always `false`: traces are non-empty by construction.
@@ -222,30 +231,76 @@ impl PowerTrace {
 
     /// Duration covered before the trace wraps.
     pub fn duration(&self) -> SimTime {
-        TRACE_INTERVAL * self.samples.len() as f64
+        TRACE_INTERVAL * self.slots.len() as f64
     }
 
     /// Average power at simulated time `t` (cyclic).
+    #[inline]
     pub fn power_at(&self, t: SimTime) -> Power {
         let idx = (t.seconds() / TRACE_INTERVAL.seconds()) as u64 as usize;
         // Runs rarely outrun the trace, so branch around the wrap: an
         // integer division per sample is measurable at simulator speed.
-        let n = self.samples.len();
-        self.samples[if idx < n { idx } else { idx % n }]
+        let n = self.slots.len();
+        let idx = if idx < n { idx } else { idx % n };
+        match self.filled().get(idx) {
+            Some(&p) => p,
+            None => self.fill_through(idx),
+        }
     }
 
-    /// Borrows the raw samples.
+    /// Borrows the raw samples, filling the rest of the trace first.
     pub fn samples(&self) -> &[Power] {
-        &self.samples
+        let n = self.slots.len();
+        if self.filled.load(Ordering::Acquire) < n {
+            self.fill_through(n - 1);
+        }
+        self.filled()
+    }
+
+    /// The filled prefix.
+    #[inline]
+    fn filled(&self) -> &[Power] {
+        let n = self.filled.load(Ordering::Acquire);
+        // SAFETY: the first `n` slots were written before the Release
+        // store of `filled` this Acquire load read, and are never written
+        // again; `Slot` has `Power`'s layout (`MaybeUninit` and
+        // `UnsafeCell` are both `repr(transparent)`).
+        unsafe { std::slice::from_raw_parts(self.slots.as_ptr().cast::<Power>(), n) }
+    }
+
+    /// Generates samples up to and including `idx`, through the end of its
+    /// [`FILL_CHUNK`], unless another reader already has; returns sample
+    /// `idx`.
+    #[cold]
+    #[inline(never)]
+    fn fill_through(&self, idx: usize) -> Power {
+        let mut source = self.source.lock().expect("no holder of the trace generator panics");
+        let start = self.filled.load(Ordering::Relaxed);
+        if idx >= start {
+            let end = (idx + 1).next_multiple_of(FILL_CHUNK).min(self.slots.len());
+            let gen = source.as_mut().expect("an unfilled trace keeps its generator");
+            for (i, slot) in (start..end).zip(&self.slots[start..end]) {
+                let p = gen.next(i);
+                // SAFETY: no reader touches a slot at or above `filled`,
+                // and only this function writes one, under `source`'s lock.
+                unsafe { UnsafeCell::raw_get(slot.as_ptr()).write(p) };
+            }
+            self.filled.store(end, Ordering::Release);
+            if end == self.slots.len() {
+                *source = None;
+            }
+        }
+        drop(source);
+        self.filled()[idx]
     }
 
     /// Summary statistics (mean/std/stable fraction), as characterised in
     /// the paper's Fig 11.
     pub fn stats(&self) -> TraceStats {
-        let n = self.samples.len() as f64;
-        let mean = self.samples.iter().map(|p| p.microwatts()).sum::<f64>() / n;
-        let var = self
-            .samples
+        let samples = self.samples();
+        let n = samples.len() as f64;
+        let mean = samples.iter().map(|p| p.microwatts()).sum::<f64>() / n;
+        let var = samples
             .iter()
             .map(|p| {
                 let d = p.microwatts() - mean;
@@ -254,10 +309,9 @@ impl PowerTrace {
             .sum::<f64>()
             / n;
         // "Stable" samples sit within +/-50% of the mean.
-        let stable =
-            self.samples.iter().filter(|p| (p.microwatts() - mean).abs() <= 0.5 * mean).count()
-                as f64
-                / n;
+        let stable = samples.iter().filter(|p| (p.microwatts() - mean).abs() <= 0.5 * mean).count()
+            as f64
+            / n;
         TraceStats {
             mean: Power::from_microwatts(mean),
             std_dev: Power::from_microwatts(var.sqrt()),
@@ -272,7 +326,7 @@ impl PowerTrace {
     ///
     /// Returns any I/O error from the writer.
     pub fn write_text<W: Write>(&self, mut w: W) -> io::Result<()> {
-        for p in &self.samples {
+        for p in self.samples() {
             writeln!(w, "{:.6}", p.microwatts())?;
         }
         Ok(())
@@ -307,7 +361,106 @@ impl PowerTrace {
         if samples.is_empty() {
             return Err(TraceError::Empty);
         }
-        Ok(PowerTrace { samples })
+        Ok(PowerTrace::from_samples(samples))
+    }
+}
+
+impl Clone for PowerTrace {
+    /// Copies the filled prefix and the generator state, so the clone is
+    /// filled exactly as far as `self`.
+    fn clone(&self) -> Self {
+        let source = self.source.lock().expect("no holder of the trace generator panics");
+        let prefix = self.filled();
+        let mut slots = Box::<[UnsafeCell<Power>]>::new_uninit_slice(self.slots.len());
+        for (slot, &p) in slots.iter_mut().zip(prefix) {
+            slot.write(UnsafeCell::new(p));
+        }
+        PowerTrace {
+            slots,
+            filled: AtomicUsize::new(prefix.len()),
+            source: Mutex::new(source.clone()),
+        }
+    }
+}
+
+impl PartialEq for PowerTrace {
+    /// Sample-by-sample equality (fills both traces).
+    fn eq(&self, other: &Self) -> bool {
+        self.samples() == other.samples()
+    }
+}
+
+impl fmt::Debug for PowerTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PowerTrace")
+            .field("len", &self.slots.len())
+            .field("filled", &self.filled.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
+
+/// The sample stream of [`PowerTrace::generate`]: the seeded RNG plus the
+/// source's process state, stepped one sample at a time in index order.
+#[derive(Clone)]
+struct Generator {
+    rng: StdRng,
+    state: SourceState,
+}
+
+/// Per-source process state carried from one sample to the next.
+#[derive(Clone, Copy)]
+enum SourceState {
+    /// Two-state Markov: bursts of strong RF between quiet gaps. Mean
+    /// ~50 uW with high variance.
+    RfHome { bursting: bool, level_uw: f64 },
+    /// Slow irradiance drift (OU process, state `x`) around 60 uW plus
+    /// small flicker; rarely drops low.
+    Solar { x: f64 },
+    /// Nearly constant gradient: 50 uW with 3% noise.
+    Thermal,
+}
+
+impl Generator {
+    fn new(kind: TraceKind, seed: u64) -> Self {
+        let rng = StdRng::seed_from_u64(seed ^ (kind as u64) << 32);
+        let state = match kind {
+            TraceKind::RfHome => SourceState::RfHome { bursting: false, level_uw: 0.0 },
+            TraceKind::Solar => SourceState::Solar { x: 0.0 },
+            TraceKind::Thermal => SourceState::Thermal,
+        };
+        Generator { rng, state }
+    }
+
+    /// Sample `i`; successive calls must pass `i = 0, 1, 2, …`.
+    fn next(&mut self, i: usize) -> Power {
+        let rng = &mut self.rng;
+        match &mut self.state {
+            SourceState::RfHome { bursting, level_uw } => {
+                if *bursting {
+                    // Bursts last ~2 ms on average.
+                    if rng.gen::<f64>() < 0.005 {
+                        *bursting = false;
+                    }
+                } else if rng.gen::<f64>() < 0.003 {
+                    *bursting = true;
+                    // Heavy-tailed burst amplitude: 60..400 uW.
+                    *level_uw = 60.0 + 340.0 * rng.gen::<f64>().powi(3);
+                }
+                let base = if *bursting { *level_uw } else { 8.0 };
+                let noise = 1.0 + 0.15 * (rng.gen::<f64>() - 0.5);
+                Power::from_microwatts((base * noise).max(0.0))
+            }
+            SourceState::Solar { x } => {
+                let slow = 60.0 + 15.0 * ((i as f64) * 2.0e-5).sin();
+                *x += 0.002 * (0.0 - *x) + 0.8 * (rng.gen::<f64>() - 0.5);
+                let flicker = 1.0 + 0.05 * (rng.gen::<f64>() - 0.5);
+                Power::from_microwatts(((slow + *x) * flicker).max(0.0))
+            }
+            SourceState::Thermal => {
+                let noise = 1.0 + 0.06 * (rng.gen::<f64>() - 0.5);
+                Power::from_microwatts(50.0 * noise)
+            }
+        }
     }
 }
 
@@ -427,5 +580,117 @@ mod tests {
         let min = trace.samples().iter().map(|p| p.microwatts()).fold(f64::MAX, f64::min);
         assert!(max > 60.0, "expected bursts, max = {max}");
         assert!(min < 15.0, "expected quiet gaps, min = {min}");
+    }
+
+    /// FNV-1a over the little-endian bits of each sample.
+    fn digest(samples: &[Power]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in samples {
+            for b in p.watts().to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Bits of `power_at` in the middle of window `i`.
+    fn bits_at(trace: &PowerTrace, i: usize) -> u64 {
+        trace.power_at(TRACE_INTERVAL * (i as f64 + 0.5)).watts().to_bits()
+    }
+
+    #[test]
+    fn generated_stream_is_pinned() {
+        // Printed from a generator that filled whole traces up front, so
+        // lazy filling must reproduce them: a moved bit anywhere in the
+        // stream fails here.
+        let pins = [
+            (
+                TraceKind::RfHome,
+                0x0bfb_31ab_6a11_789c,
+                0x3f34_762e_17a3_145d,
+                0x3ee0_1313_7efb_e427,
+            ),
+            (TraceKind::Solar, 0x1adc_e26b_52ea_7158, 0x3f13_10af_666a_3ed5, 0x3f0e_f208_d666_181d),
+            (
+                TraceKind::Thermal,
+                0xa900_52f5_1e14_1bb1,
+                0x3f0a_d5ee_6b8e_6ce8,
+                0x3f0a_5cdb_df4c_dc20,
+            ),
+        ];
+        for (kind, prefix, at_123457, wrapped_17) in pins {
+            let trace = PowerTrace::generate(kind, 42, 4_000_000);
+            // Read out of order, across the wrap, before the prefix.
+            assert_eq!(bits_at(&trace, 4_000_000 + 17), wrapped_17, "{kind}: wrapped sample 17");
+            assert_eq!(bits_at(&trace, 123_457), at_123457, "{kind}: sample 123457");
+            bits_at(&trace, 199_999);
+            assert_eq!(digest(&trace.filled()[..200_000]), prefix, "{kind}: first 200k samples");
+        }
+        // The last sample, directly and wrapped, for the cheapest source
+        // only: it costs a full generation, and chunking is the same for
+        // every source.
+        let thermal = PowerTrace::generate(TraceKind::Thermal, 42, 4_000_000);
+        assert_eq!(bits_at(&thermal, 3_999_999), 0x3f0a_d494_99a2_abd7);
+        assert_eq!(bits_at(&thermal, 7_999_999), 0x3f0a_d494_99a2_abd7);
+    }
+
+    #[test]
+    fn reads_fill_only_the_chunks_they_reach() {
+        let len = 5 * FILL_CHUNK + 123;
+        let trace = PowerTrace::generate(TraceKind::Solar, 9, len);
+        let filled = |t: &PowerTrace| t.filled.load(Ordering::Relaxed);
+        assert_eq!(filled(&trace), 0, "generate must not fill anything");
+        for k in [0, 1, FILL_CHUNK - 1, FILL_CHUNK, 3 * FILL_CHUNK + 5, len - 1] {
+            trace.power_at(TRACE_INTERVAL * (k as f64 + 0.5));
+            let bound = (k + 1).next_multiple_of(FILL_CHUNK).min(len);
+            assert_eq!(filled(&trace), bound, "after reading sample {k}");
+        }
+        // A wrapped read fills nothing new.
+        let short = PowerTrace::generate(TraceKind::Thermal, 9, len);
+        short.power_at(TRACE_INTERVAL * (len as f64 + 2.5));
+        assert_eq!(filled(&short), FILL_CHUNK);
+    }
+
+    #[test]
+    fn partly_filled_traces_clone_compare_and_read_as_full_ones() {
+        let len = 3 * FILL_CHUNK + 7;
+        for kind in TraceKind::ALL {
+            let full = PowerTrace::generate(kind, 5, len);
+            let full_samples = full.samples().to_vec();
+            let partial = PowerTrace::generate(kind, 5, len);
+            partial.power_at(TRACE_INTERVAL * (FILL_CHUNK as f64 + 1.5));
+            let copy = partial.clone();
+            assert_eq!(copy.filled.load(Ordering::Relaxed), 2 * FILL_CHUNK);
+            assert_eq!(copy, full, "{kind}: clone of a partly filled trace");
+            assert_eq!(partial, full, "{kind}: partly filled trace");
+            let fresh = PowerTrace::generate(kind, 5, len);
+            fresh.power_at(SimTime::ZERO);
+            assert_eq!(fresh.samples(), &full_samples[..], "{kind}: samples after a partial fill");
+        }
+        let debug = format!("{:?}", PowerTrace::generate(TraceKind::RfHome, 1, 4_000_000));
+        assert!(debug.len() < 80, "Debug prints samples: {debug}");
+    }
+
+    #[test]
+    fn threads_sharing_a_trace_read_the_sequential_stream() {
+        let len = 6 * FILL_CHUNK + 321;
+        let expect = PowerTrace::generate(TraceKind::RfHome, 77, len).samples().to_vec();
+        let shared = std::sync::Arc::new(PowerTrace::generate(TraceKind::RfHome, 77, len));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (trace, expect, start) = (std::sync::Arc::clone(&shared), &expect, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Interleaved strides, then reads past the end that wrap.
+                    for i in (t..2 * len).step_by(4 + 2 * t) {
+                        let got = trace.power_at(TRACE_INTERVAL * (i as f64 + 0.5));
+                        assert_eq!(got.watts().to_bits(), expect[i % len].watts().to_bits());
+                    }
+                });
+            }
+        });
+        assert_eq!(shared.samples(), &expect[..]);
     }
 }

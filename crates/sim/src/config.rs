@@ -570,6 +570,7 @@ mod tests {
         check(Extension::NAMES, Extension::from_name);
         check(Algorithm::NAMES, Algorithm::from_name);
         check(TraceKind::NAMES, TraceKind::from_name);
+        check(crate::FaultKind::NAMES, crate::FaultKind::from_name);
         for name in GovernorSpec::NAMES {
             let spec = GovernorSpec::from_name(name).unwrap();
             assert_eq!(GovernorSpec::from_name(spec.name()), Some(spec), "{name}");

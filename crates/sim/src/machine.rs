@@ -270,6 +270,23 @@ pub enum FaultKind {
     },
 }
 
+impl FaultKind {
+    /// Every spelling [`FaultKind::from_name`] accepts.
+    pub const NAMES: &'static [&'static str] = &["power", "torn", "corrupt"];
+
+    /// Parses a fault name, case-insensitively, into the harness's
+    /// configuration of that fault: a torn checkpoint persists no block,
+    /// a corrupt payload flips bit 5.
+    pub fn from_name(name: &str) -> Option<FaultKind> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "power" => FaultKind::PowerFailure,
+            "torn" => FaultKind::TornCheckpoint { persist_blocks: 0 },
+            "corrupt" => FaultKind::CorruptPayload { bit: 5 },
+            _ => return None,
+        })
+    }
+}
+
 /// What to attach to one run; everything is off by default. Apply with
 /// [`Simulator::attach`], or hand to [`crate::runner::run_program_with`].
 /// Attachments observe and never perturb: stats are identical with or

@@ -12,16 +12,19 @@ use crate::stats::SimStats;
 use kagura_core::CompressionGovernor as _;
 
 /// Default generated-trace length in 10 µs windows (≈ 40 s of ambient
-/// input, far more than any run consumes before wrapping).
+/// input, far more than any run consumes before wrapping). Traces fill
+/// on demand, so a run pays only for the prefix it reaches (typically a
+/// few percent of this).
 const DEFAULT_TRACE_LEN: usize = 4_000_000;
 
 /// Idle trace-cache entries retained beyond the ones currently borrowed
-/// by running simulations. Each generated trace is ~32 MB
-/// (`DEFAULT_TRACE_LEN` × 8 B), and fleet campaigns use a distinct
-/// trace seed per cell — an unbounded cache turns a 10⁵-cell campaign
-/// into terabytes of dead traces. Entries still referenced by a running
-/// simulation are never evicted, so the cache can exceed this cap while
-/// that many distinct traces are simultaneously in use.
+/// by running simulations. A cached trace holds only the prefix its runs
+/// have filled (up to 32 MB, `DEFAULT_TRACE_LEN` × 8 B, if one reads it
+/// all), and fleet campaigns use a distinct trace seed per cell — an
+/// unbounded cache still grows without limit on a 10⁵-cell campaign.
+/// Entries still referenced by a running simulation are never evicted,
+/// so the cache can exceed this cap while that many distinct traces are
+/// simultaneously in use.
 const TRACE_CACHE_IDLE_CAP: usize = 8;
 
 /// Cached traces in recency order, least recently used first.
@@ -49,10 +52,11 @@ fn trace_cache_len() -> usize {
 /// goes depends only on the order of the calls, so a caller that keeps
 /// coming back to its trace never pays for it twice.
 ///
-/// Concurrency: two workers racing on the same key may both generate the
+/// Concurrency: two workers racing on the same key may both create the
 /// trace; the first insert wins and the second caller gets that copy
-/// (generation is deterministic, so the copies are identical). The lock
-/// is never held across generation, and a panicked worker elsewhere in
+/// (generation is deterministic, so the copies are identical). Workers
+/// sharing one trace fill it together: whichever first reads a sample
+/// generates it, outside the cache lock. A panicked worker elsewhere in
 /// the sweep cannot wedge the cache — poisoning is recovered, since the
 /// list is only ever mutated by complete `push`/`remove`/`retain` calls.
 pub fn default_trace(cfg: &SimConfig) -> Arc<PowerTrace> {
