@@ -146,14 +146,17 @@ python3 -m json.tool "$FLEET_A/fleet.json" > /dev/null
 echo "fleet reports byte-identical across --jobs/--fleet-shard; stream parses back"
 
 echo "== results drift gate (committed results/ reproduce byte for byte) =="
-# The scale-1 experiments that finish in seconds are regenerated and
-# compared byte for byte against the committed results/. `repro` writes
-# every <id>.json with recursively sorted keys, so a difference here is
-# a changed value, never a reordered one. (The remaining results/ files
-# take minutes at scale 1 and are not regenerated here.)
+# Every committed results/<id>.json is regenerated at scale 1 and
+# compared byte for byte; the id list is read from the directory, so a
+# newly committed result joins the gate on its own. `repro` writes every
+# <id>.json with recursively sorted keys, so a difference here is a
+# changed value, never a reordered one.
 RESULTS_OUT="$(mktemp -d)"
 trap 'rm -rf "$FAULTGRID_OUT" "$LEDGER_OUT" "$CACHESCOPE_OUT" "$LEAKSCOPE_OUT" "$RESUME_BASE" "$RESUME_CUT" "$FLEET_A" "$FLEET_B" "$SERVE_DIR" "$RESULTS_OUT"' EXIT
-RESULTS_IDS=(summary fig1 fig3 fig12 hw table2 table4)
+RESULTS_IDS=()
+for f in results/*.json; do
+    RESULTS_IDS+=("$(basename "$f" .json)")
+done
 "$REPRO" "${RESULTS_IDS[@]}" --scale 1 --quiet --out "$RESULTS_OUT" > /dev/null
 for id in "${RESULTS_IDS[@]}"; do
     cmp "$RESULTS_OUT/$id.json" "results/$id.json"
@@ -194,9 +197,8 @@ expect_exit 3 "$REPRO" nosuchexperiment           # config: unknown experiment
 expect_exit 3 "$SIMRUN" sha --cache 7             # config: inconsistent cache geometry
 expect_exit 3 "$SIMRUN" sha --cap 0               # config: non-positive capacitance
 expect_exit 3 "$SIMRUN" sha --inject-at 5 --inject-fault tron  # config: misspelled fault kind
-cargo build --release --offline -q -p kagura-bench --bin simbench --bin bench --bin tracegen
+cargo build --release --offline -q -p kagura-bench --bin simbench --bin tracegen
 expect_exit 2 target/release/simbench --scael 1   # usage: misspelled flag
-expect_exit 2 target/release/bench --scael 1      # usage: misspelled flag
 expect_exit 2 target/release/tracegen gen rf 10 --sed 3  # usage: misspelled flag
 echo "exit codes distinguish usage/config/runtime failures"
 

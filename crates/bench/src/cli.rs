@@ -1,5 +1,5 @@
 //! The one front end for outside input: every harness binary (`repro`,
-//! `simrun`, `simrun serve`, `simbench`, `bench`, `tracegen`) parses its
+//! `simrun`, `simrun serve`, `simbench`, `tracegen`) parses its
 //! command line with [`parse`] against its own [`FlagSpec`] table, and
 //! `simrun` flags and `simrun serve` query fields share one configuration
 //! vocabulary, [`ConfigFields`], resolved and checked in one place.

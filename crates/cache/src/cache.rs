@@ -258,19 +258,6 @@ impl CompressedCache {
         }
     }
 
-    /// `true` if a read of `addr` would hit an *uncompressed, MRU* block —
-    /// the precondition for [`CompressedCache::commit_read_hit_run`]. No
-    /// LRU update, no stats.
-    pub fn probe_mru_uncompressed(&self, addr: Address) -> bool {
-        let (si, tag) = self.set_and_tag(addr);
-        match self.sets[si].find(tag) {
-            Some(idx) => {
-                self.sets[si].ticks[idx] == self.tick && !self.sets[si].lines[idx].compressed
-            }
-            None => false,
-        }
-    }
-
     /// `Some(idx)` if a hit on `addr` would land on an uncompressed line
     /// at LRU rank below the nominal associativity — a *shallow* hit, one
     /// that an uncompressed cache of the same geometry would also serve.
@@ -350,32 +337,6 @@ impl CompressedCache {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Applies `n` back-to-back read hits to the MRU uncompressed block
-    /// containing `addr`, exactly as `n` [`CompressedCache::read`] calls
-    /// would: the clock advances by `n`, the line's stamp follows it, and
-    /// `read_hits` grows by `n`. (Each intermediate read would re-hit the
-    /// same line at rank 0 with no decompression, so no other state can
-    /// change.)
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics unless [`CompressedCache::probe_mru_uncompressed`]
-    /// holds for `addr`.
-    pub fn commit_read_hit_run(&mut self, addr: Address, n: u64) {
-        debug_assert!(self.probe_mru_uncompressed(addr));
-        let (si, tag) = self.set_and_tag(addr);
-        let Some(idx) = self.sets[si].find(tag) else {
-            unreachable!("commit_read_hit_run requires a resident block");
-        };
-        self.tick += n;
-        self.sets[si].ticks[idx] = self.tick;
-        self.stats.read_hits += n;
-        if let Some(p) = &mut self.probe {
-            // MRU precondition: every hit in the run has reuse distance 1.
-            p.on_hit_run(si as u32, self.config.segments_per_block(), n);
         }
     }
 
@@ -971,35 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn read_hit_run_matches_repeated_reads() {
-        // The batched MRU run must leave cache state and stats exactly
-        // where n individual reads would.
-        let mut batched = cache();
-        let mut stepped = cache();
-        for c in [&mut batched, &mut stepped] {
-            c.fill(conflict_addr(0), random_block(1), FillMode::Bypass, None);
-            c.fill(conflict_addr(1), zero_block(), FillMode::Compress, None);
-            c.read(conflict_addr(0)).unwrap(); // make block 0 MRU
-        }
-        assert!(batched.probe_mru_uncompressed(conflict_addr(0)));
-        assert!(!batched.probe_mru_uncompressed(conflict_addr(1)), "not MRU");
-        assert!(!batched.probe_mru_uncompressed(conflict_addr(7)), "not resident");
-
-        batched.commit_read_hit_run(conflict_addr(0) + 4, 5);
-        for i in 0..5u64 {
-            stepped.read(conflict_addr(0) + 4 * (i % 8)).unwrap();
-        }
-        assert_eq!(batched.stats(), stepped.stats());
-        assert_eq!(batched.now(), stepped.now());
-        assert_eq!(batched.resident_blocks(), stepped.resident_blocks());
-        // Follow-up accesses agree too.
-        assert_eq!(
-            batched.read(conflict_addr(1)).unwrap(),
-            stepped.read(conflict_addr(1)).unwrap()
-        );
-    }
-
-    #[test]
     fn eviction_of_dirty_compressed_block_decompresses() {
         let mut c = cache();
         c.fill(conflict_addr(0), zero_block(), FillMode::Compress, Some((4, 1)));
@@ -1111,7 +1043,6 @@ mod tests {
     #[derive(Debug, Default)]
     struct RecordingProbe {
         hits: Vec<crate::ProbeHit>,
-        runs: Vec<(u32, u64)>,
         fills: Vec<crate::ProbeFill>,
         evictions: Vec<crate::ProbeEviction>,
     }
@@ -1119,9 +1050,6 @@ mod tests {
     impl crate::CacheProbe for RecordingProbe {
         fn on_hit(&mut self, h: crate::ProbeHit) {
             self.hits.push(h);
-        }
-        fn on_hit_run(&mut self, set: u32, _full_segments: u32, n: u64) {
-            self.runs.push((set, n));
         }
         fn on_fill(&mut self, f: crate::ProbeFill) {
             self.fills.push(f);
@@ -1174,19 +1102,19 @@ mod tests {
     }
 
     #[test]
-    fn probe_hit_run_and_shallow_commits_report_like_full_reads() {
+    fn probe_shallow_commits_report_like_full_reads() {
         let mut probed = cache();
         probed.attach_probe(Box::<RecordingProbe>::default());
         probed.fill(conflict_addr(0), random_block(1), FillMode::Bypass, None);
         probed.read(conflict_addr(0)).unwrap(); // MRU now
         assert!(probed.try_commit_shallow_read(conflict_addr(0)));
         assert!(probed.try_commit_shallow_write(conflict_addr(0), 7));
-        probed.commit_read_hit_run(conflict_addr(0), 3);
+        probed.read(conflict_addr(0)).unwrap();
 
         let p = take_recording(&mut probed);
-        assert_eq!(p.hits.len(), 3, "read + shallow read + shallow write");
+        assert_eq!(p.hits.len(), 4, "read + shallow read + shallow write + read");
         assert!(p.hits.iter().skip(1).all(|h| h.reuse == 1 && !h.was_compressed));
-        assert_eq!(p.runs, vec![(0, 3)]);
+        assert!(p.hits.iter().all(|h| h.segments == p.hits[0].segments));
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //!
 //! Probe callbacks describe *architectural* events only, with arguments
 //! derived from cache state that the fast-forward and reference execution
-//! loops maintain identically. The batched report
-//! [`CacheProbe::on_hit_run`] is defined as exactly `n` MRU hits of reuse
-//! distance 1, which is what the per-instruction loop reports one at a
-//! time — so an attached probe observes the same stream under either loop
-//! (the fastpath differential suite asserts this end to end).
+//! loops maintain identically. A shallow hit that the fast path commits
+//! through `try_commit_shallow_read`/`_write` reports the same
+//! [`CacheProbe::on_hit`] that the full read or write would — so an
+//! attached probe observes the same stream under either loop (the
+//! fastpath differential suite asserts this end to end).
 //!
 //! [`CacheStats`]: crate::CacheStats
 
@@ -108,12 +108,6 @@ pub struct ProbeEviction {
 pub trait CacheProbe: std::fmt::Debug {
     /// A read or write hit (shallow fused commits included).
     fn on_hit(&mut self, _hit: ProbeHit) {}
-
-    /// `n` back-to-back MRU read hits on one uncompressed block,
-    /// reported in one call by the fast path's ALU-run batching.
-    /// Equivalent to `n` [`CacheProbe::on_hit`] reports with
-    /// `was_compressed: false` and `reuse: 1`.
-    fn on_hit_run(&mut self, _set: u32, _full_segments: u32, _n: u64) {}
 
     /// A block was inserted.
     fn on_fill(&mut self, _fill: ProbeFill) {}

@@ -116,15 +116,6 @@ impl CacheProbe for AccessTimeline {
         self.push(TimelineRecord { set: hit.set, latency, hit: true, occ_delta: 0 });
     }
 
-    fn on_hit_run(&mut self, set: u32, _full_segments: u32, n: u64) {
-        // Contractually n MRU uncompressed hits of reuse 1 — expand so the
-        // stream matches what unbatched steps report one at a time.
-        let latency = self.model.hit;
-        for _ in 0..n {
-            self.push(TimelineRecord { set, latency, hit: true, occ_delta: 0 });
-        }
-    }
-
     fn on_fill(&mut self, fill: ProbeFill) {
         let latency =
             self.model.miss + if fill.stored_compressed { self.model.compress } else { 0 };
@@ -220,20 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn hit_runs_expand_to_individual_records() {
-        let mut t = AccessTimeline::new(MODEL, 4, 16);
-        t.on_hit_run(2, 4, 3);
-        assert_eq!(t.records().len(), 3);
-        assert!(t
-            .records()
-            .iter()
-            .all(|r| *r == TimelineRecord { set: 2, latency: 1, hit: true, occ_delta: 0 }));
-    }
-
-    #[test]
     fn capacity_bounds_the_record_count() {
         let mut t = AccessTimeline::new(MODEL, 1, 2);
-        t.on_hit_run(0, 4, 5);
+        for _ in 0..5 {
+            t.on_hit(ProbeHit { set: 0, was_compressed: false, segments: 4, reuse: 1 });
+        }
         assert_eq!(t.records().len(), 2);
         assert_eq!(t.dropped(), 3);
         assert_eq!(t.last_in_set(0).unwrap().set, 0);

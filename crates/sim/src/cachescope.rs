@@ -25,10 +25,9 @@ use ehs_cache::{CacheConfig, CacheProbe, EvictionReason, ProbeEviction, ProbeFil
 use ehs_telemetry::Histogram;
 
 /// Reuse-distance observations are sampled: every `REUSE_SAMPLE_PERIOD`-th
-/// hit contributes its reuse distance to the histogram. Sampling keeps the
-/// batched fast-path report O(1) per run ([`CacheProbe::on_hit_run`]
-/// computes how many multiples of the period the run crosses) while the
-/// distribution stays representative.
+/// hit contributes its reuse distance to the histogram. Sampling keeps an
+/// attached probe's per-hit cost to a counter bump and one divisibility
+/// test while the distribution stays representative.
 pub const REUSE_SAMPLE_PERIOD: u64 = 64;
 
 /// Log-spaced bucket bounds for recency-tick distances (lifetime, dead
@@ -59,8 +58,7 @@ impl CachescopeConfig {
 /// Cumulative event counters of one cache, as folded by its aggregator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScopeCounters {
-    /// Read and write hits (shallow fused commits and batched runs
-    /// included).
+    /// Read and write hits (shallow fused commits included).
     pub hits: u64,
     /// Hits that landed on a compressed line (each paid a decompression).
     pub compressed_hits: u64,
@@ -210,15 +208,6 @@ impl CacheProbe for CachescopeAggregator {
         }
     }
 
-    fn on_hit_run(&mut self, _set: u32, _full_segments: u32, n: u64) {
-        // Exactly n on_hit reports with reuse 1: the sampled hits are the
-        // multiples of the period the counter crosses, each of value 1.
-        let before = self.counters.hits;
-        self.counters.hits += n;
-        let samples = self.counters.hits / REUSE_SAMPLE_PERIOD - before / REUSE_SAMPLE_PERIOD;
-        self.reuse.observe_n(1.0, samples);
-    }
-
     fn on_fill(&mut self, fill: ProbeFill) {
         self.counters.fills += 1;
         if fill.stored_compressed {
@@ -274,11 +263,9 @@ pub struct CachescopeReport {
 pub(crate) struct ScopeState {
     /// Committed instructions between occupancy snapshots; 0 disables.
     pub period: u64,
-    /// Instructions until the next snapshot. Maintained exactly like the
-    /// EDBP scan countdown: the fast path's ALU batch is capped to
-    /// `countdown - 1` so the count never reaches 0 inside a batched run
-    /// and both exec modes fire snapshots on identical instruction
-    /// boundaries.
+    /// Instructions until the next snapshot. Ticked once per committed
+    /// instruction, like the EDBP scan countdown, so both exec modes fire
+    /// snapshots on identical instruction boundaries.
     pub snap_countdown: u64,
     /// Where the cycles went so far.
     pub attr: LatencyAttribution,
@@ -310,27 +297,6 @@ mod tests {
 
     fn agg() -> CachescopeAggregator {
         CachescopeAggregator::new(&CacheConfig::new(CacheParams::table1(), Algorithm::Bdi))
-    }
-
-    #[test]
-    fn hit_run_samples_match_per_hit_reports() {
-        // Same total hits, delivered per-hit vs in batched runs, must
-        // sample the reuse histogram identically (all reuse 1).
-        let mut one = agg();
-        let mut batched = agg();
-        let hit = |a: &mut CachescopeAggregator| {
-            a.on_hit(ProbeHit { set: 0, was_compressed: false, segments: 4, reuse: 1 })
-        };
-        for _ in 0..300 {
-            hit(&mut one);
-        }
-        batched.on_hit_run(0, 4, 100);
-        for _ in 0..7 {
-            hit(&mut batched);
-        }
-        batched.on_hit_run(0, 4, 193);
-        assert_eq!(one, batched);
-        assert_eq!(one.reuse.count(), 300 / REUSE_SAMPLE_PERIOD);
     }
 
     #[test]

@@ -342,12 +342,12 @@ impl StepBudget {
 /// not change the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// The default: batches runs of ALU instructions and skips work that
-    /// is unobservable for the run's governor.
+    /// The default: skips work that is unobservable for the run's
+    /// governor.
     #[default]
     FastForward,
-    /// Every skip off — no ALU batching; shadow tags, deep-hit credit and
-    /// the full cache read/write paths always; `on_voltage` every step;
+    /// Every skip off — shadow tags, deep-hit credit and the full cache
+    /// read/write paths always; `on_voltage` every step;
     /// `Capacitor::below_checkpoint()` instead of the precomputed cutoff.
     /// The oracle the fast path is validated and benchmarked against.
     Reference,

@@ -126,11 +126,11 @@ fn checkpoint_cutoff_pj(capacitance: f64, v_ckpt: f64) -> f64 {
 /// [`Simulator::step`] leaves out.
 ///
 /// [`ExecMode::FastForward`] derives the mask from the governor and the
-/// config. [`ExecMode::Reference`] turns every skip off — no ALU
-/// batching; shadow tags, deep-hit credit and the full cache read/write
-/// paths always; `on_voltage` every step; `below_checkpoint()` instead of
-/// the precomputed cutoff — which keeps it the oracle the fast path's
-/// proofs are checked against.
+/// config. [`ExecMode::Reference`] turns every skip off — shadow tags,
+/// deep-hit credit and the full cache read/write paths always;
+/// `on_voltage` every step; `below_checkpoint()` instead of the
+/// precomputed cutoff — which keeps it the oracle the fast path's proofs
+/// are checked against.
 struct FastCtx {
     i_ways: u32,
     d_ways: u32,
@@ -139,24 +139,12 @@ struct FastCtx {
     i_access: Energy,
     inst_energy: Energy,
     clock_hz: f64,
-    /// `dt` for `cycles == 1` (every instruction of a batched ALU run).
-    dt1: SimTime,
     /// `dt` per small cycle count, built with the division's exact
     /// expression so table lookups are bit-identical to it.
     dt_table: Vec<SimTime>,
     /// Stored-energy threshold equivalent to `below_checkpoint()`; `None`
     /// under Reference, which asks the capacitor every step.
     cutoff_pj: Option<f64>,
-    /// Reciprocal of the upper bound on the capacitor drop of one
-    /// batched ALU step (pJ): run lengths are capped by a multiply
-    /// instead of a divide. The cap only needs to stay conservative —
-    /// the bound carries a 2x margin, so the reciprocal's rounding slack
-    /// is free — and results are invariant to the exact batch length
-    /// (see `alu_batch_len`), so the weaker rounding is harmless.
-    inv_drop_max: f64,
-    /// `0.5 / dt1` in seconds, for the simulated-time cap (same
-    /// reciprocal-multiply argument; the 0.5 margin dominates).
-    half_inv_dt1: f64,
     /// Shadow tags, oracle deep-hit credit and the full cache read/write
     /// paths run (recording governors, and every Reference run). For all
     /// other governors the shadow and credit work is unobservable:
@@ -167,12 +155,6 @@ struct FastCtx {
     /// and every Reference run); for every other governor `on_voltage` is
     /// a no-op.
     voltage_sensitive: bool,
-    /// ALU-run batching enabled (off under Reference, for
-    /// voltage-sensitive governors, whose `on_voltage` must see every
-    /// instruction boundary, and for armed wall budgets, whose amortised
-    /// countdown ticks per instruction).
-    batching: bool,
-    max_executed: Option<u64>,
     /// Combined SRAM leakage `icache + dcache`, hoisted for `advance`.
     /// `None` under EDBP, whose dcache leakage scales with the live line
     /// fraction and so changes between instructions.
@@ -187,24 +169,8 @@ impl FastCtx {
         let cfg = &sim.cfg;
         let reference = cfg.exec == ExecMode::Reference;
         let clock_hz = cfg.system.core.clock_hz;
-        let dt_table: Vec<SimTime> =
-            (0..=DT_TABLE_CYCLES).map(|c| SimTime::from_seconds(c as f64 / clock_hz)).collect();
-        let dt1 = dt_table[1];
         let cap_cfg = cfg.capacitor;
-        // Worst-case capacitor drop of one batched ALU step: its two
-        // spends plus every standby draw integrated over one cycle, with
-        // leakage taken at the clamp voltage (the capacitor never exceeds
-        // `v_max`, so `P_leak = k·C·V²` never exceeds this).
-        let leak_max = Power::from_watts(
-            cap_cfg.leak_coeff * cap_cfg.capacitance * cap_cfg.v_max * cap_cfg.v_max,
-        ) * dt1;
         let sram_leak = cfg.system.icache.leakage() + cfg.system.dcache.leakage();
-        let per_step = cfg.system.icache.access_energy
-            + cfg.system.core.inst_energy
-            + leak_max
-            + sram_leak * dt1
-            + sim.monitor.standby_power() * dt1;
-        let voltage_sensitive = reference || sim.gov.voltage_sensitive();
         FastCtx {
             i_ways: cfg.system.icache.ways,
             d_ways: cfg.system.dcache.ways,
@@ -213,17 +179,13 @@ impl FastCtx {
             i_access: cfg.system.icache.access_energy,
             inst_energy: cfg.system.core.inst_energy,
             clock_hz,
-            dt1,
-            dt_table,
+            dt_table: (0..=DT_TABLE_CYCLES)
+                .map(|c| SimTime::from_seconds(c as f64 / clock_hz))
+                .collect(),
             cutoff_pj: (!reference)
                 .then(|| checkpoint_cutoff_pj(cap_cfg.capacitance, cap_cfg.v_ckpt)),
-            // The 2x margin dwarfs any f64 rounding slack in the bound.
-            inv_drop_max: 1.0 / (per_step.picojoules().max(f64::MIN_POSITIVE) * 2.0),
-            half_inv_dt1: 0.5 / dt1.seconds(),
             track_oracle: reference || sim.gov.is_recorder(),
-            voltage_sensitive,
-            batching: !voltage_sensitive && cfg.step_budget.max_wall.is_none(),
-            max_executed: cfg.step_budget.max_executed_insts,
+            voltage_sensitive: reference || sim.gov.voltage_sensitive(),
             sram_leak: (!matches!(cfg.extension, Extension::Edbp { .. })).then_some(sram_leak),
             mon_power: sim.monitor.standby_power(),
         }
@@ -827,10 +789,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// Counts down to the next periodic occupancy snapshot and fires it.
-    /// Called once per committed instruction at the end of `step`;
-    /// batched ALU runs decrement in bulk and are capped to
-    /// `countdown - 1` ([`Simulator::alu_batch_len`]) so the fire point
-    /// always falls on a per-instruction boundary.
+    /// Called once per committed instruction at the end of `step`.
     fn cachescope_tick(&mut self) {
         let fire = match self.cachescope.as_deref_mut() {
             Some(cs) if cs.period != 0 => {
@@ -869,16 +828,10 @@ impl<'p> Simulator<'p> {
     /// completion, the simulated-time guard, or an exhausted watchdog
     /// budget ([`StepBudget`](crate::config::StepBudget)).
     ///
-    /// Instructions decode through an incremental [`InstCursor`]. Under
-    /// [`ExecMode::FastForward`], runs of ALU instructions whose fetches
-    /// all land in one MRU uncompressed ICache block are batched
-    /// ([`Simulator::alu_batch_len`] proves no observable boundary —
-    /// power failure, forced fault, budget, sweep region, EDBP scan,
-    /// occupancy snapshot — can fall inside the run, then
-    /// [`Simulator::execute_alu_run`] replays the run's physics exactly);
-    /// everything else goes through [`Simulator::step`]. Telemetry never
-    /// changes the loop. [`ExecMode::Reference`] runs the same loop with
-    /// every skip in [`FastCtx`] turned off; the `tests/fastpath.rs`
+    /// Instructions decode through an incremental [`InstCursor`] and
+    /// execute one [`Simulator::step`] at a time. Telemetry never changes
+    /// the loop. [`ExecMode::Reference`] runs the same loop with every
+    /// skip in [`FastCtx`] turned off; the `tests/fastpath.rs`
     /// differentials assert the two are bit-identical.
     fn run_loop(&mut self) {
         if self.cfg.step_budget.max_wall.is_some() {
@@ -909,13 +862,7 @@ impl<'p> Simulator<'p> {
             if cursor.index() != self.inst_index {
                 cursor.seek(self.inst_index); // SweepCache rollback
             }
-            let batch = if ctx.batching { self.alu_batch_len(&cursor, &ctx) } else { 0 };
-            if batch > 0 {
-                self.execute_alu_run(cursor.pc(), batch, &ctx);
-                cursor.advance(batch);
-            } else {
-                self.step(&mut cursor, &ctx);
-            }
+            self.step(&mut cursor, &ctx);
             if let Some(kind) = self.take_due_fault() {
                 self.power_failure(Some(kind));
             } else if self.below_checkpoint(&ctx) {
@@ -931,127 +878,6 @@ impl<'p> Simulator<'p> {
         match ctx.cutoff_pj {
             Some(cutoff) => self.cap.stored().picojoules() < cutoff,
             None => self.cap.below_checkpoint(),
-        }
-    }
-
-    /// How many instructions starting at `cursor` can execute as one
-    /// batched ALU run, or 0 when batching does not apply. A positive
-    /// length `k` proves all of:
-    ///
-    /// * the next `k` instructions are ALU ops fetched from one ICache
-    ///   block that is resident, MRU, and uncompressed — so each would be
-    ///   an uncompressed rank-0 hit (1 cycle, no decompression, a no-op
-    ///   for every governor's `on_hit`, and — because the previous fetch
-    ///   necessarily touched the same block — a front-of-set identity for
-    ///   the shadow tags);
-    /// * no forced fault, instruction budget, simulated-time guard, sweep
-    ///   region boundary, or EDBP scan falls *inside* the run (each may
-    ///   land exactly at its end, where the loop re-checks);
-    /// * the capacitor cannot reach the checkpoint threshold inside the
-    ///   run: `k` is capped by the stored headroom over a 2x worst-case
-    ///   per-step drop.
-    ///
-    /// `k == 1` is worthwhile too: a lone ALU instruction satisfying the
-    /// proof skips the full ICache read (LRU rank, `HitInfo`, governor
-    /// callback) that `step` would pay — every obligation above is
-    /// per-instruction, so nothing about it assumes `k >= 2`.
-    fn alu_batch_len(&self, cursor: &InstCursor<'_>, ctx: &FastCtx) -> u64 {
-        let run = cursor.alu_run_len();
-        if run == 0 {
-            return 0;
-        }
-        let pc = cursor.pc();
-        let bs = ctx.block_size as u64;
-        // Instructions remaining in the current ICache block (4 B each).
-        let within_block = (bs - (pc.get() & (bs - 1))) / 4;
-        let mut k = run.min(within_block);
-        if !self.icache.probe_mru_uncompressed(pc) {
-            return 0;
-        }
-        if let Some((at, _)) = self.fault {
-            k = k.min(at.saturating_sub(self.stats.executed_insts));
-        }
-        if let Some(max) = ctx.max_executed {
-            k = k.min(max.saturating_sub(self.stats.executed_insts));
-        }
-        // Half the remaining simulated time: the margin covers f64
-        // accumulation slack in `now += dt1` (~1e-13 s over a full run,
-        // versus dt1 in the nanoseconds) and the reciprocal multiply's
-        // rounding versus a true division.
-        let head_s = (self.cfg.max_sim_time - self.now).seconds();
-        k = k.min((head_s * ctx.half_inv_dt1) as u64);
-        let Some(cutoff_pj) = ctx.cutoff_pj else {
-            return 0; // Reference never batches
-        };
-        let headroom_pj = self.cap.stored().picojoules() - cutoff_pj;
-        if headroom_pj <= 0.0 {
-            return 0;
-        }
-        k = k.min((headroom_pj * ctx.inv_drop_max) as u64);
-        if matches!(self.cfg.extension, Extension::Edbp { .. }) {
-            k = k.min(self.edbp_countdown.saturating_sub(1));
-        }
-        if self.cfg.design == EhsDesign::SweepCache {
-            k = k.min((self.last_persist + self.sweep_region_live).saturating_sub(self.inst_index));
-        }
-        if let Some(cs) = self.cachescope.as_deref() {
-            // A periodic occupancy snapshot is an observable boundary just
-            // like an EDBP scan: keep it outside the batched run.
-            if cs.period != 0 {
-                k = k.min(cs.snap_countdown.saturating_sub(1));
-            }
-        }
-        k
-    }
-
-    /// Executes a batched ALU run of `k` instructions fetched from the
-    /// MRU uncompressed block at `pc` (see [`Simulator::alu_batch_len`]).
-    ///
-    /// The cache effect collapses to one call (`k` rank-0 read hits); the
-    /// physics — two spends and a harvest integration per instruction —
-    /// replay through the same `spend`/`advance` as `step`, in the same
-    /// order, so every f64 accumulator rounds identically. The run's last
-    /// instruction ends exactly like a stepped one: region-boundary sweep,
-    /// then (in the loop) the failure checks.
-    fn execute_alu_run(&mut self, pc: Address, k: u64, ctx: &FastCtx) {
-        self.icache.commit_read_hit_run(pc, k);
-        if self.telemetry.is_some() {
-            // Every fetch of the run hits this one block; crediting the
-            // hit is idempotent, so once stands for all `k`.
-            self.flight.on_hit(pc.block_index(ctx.block_size), false);
-        }
-        for _ in 0..k {
-            self.spend(EnergyCategory::CacheOther, ctx.i_access);
-            self.spend(EnergyCategory::Other, ctx.inst_energy);
-            self.advance(ctx.dt1, ctx);
-        }
-        self.cycle.insts += k;
-        self.cycle.cycles += k;
-        self.stats.total_cycles += k;
-        self.stats.executed_insts += k;
-        self.inst_index += k;
-        if matches!(self.cfg.extension, Extension::Edbp { .. }) {
-            // Never reaches 0 inside the run: k <= countdown - 1.
-            self.edbp_countdown -= k;
-        }
-        if let Some(cs) = self.cachescope.as_deref_mut() {
-            // The run's k cycles are all base-CPI fetch/ALU cycles.
-            cs.attr.tag_cycles += k;
-            if cs.period != 0 {
-                // Never reaches 0 inside the run: k <= countdown - 1.
-                cs.snap_countdown -= k;
-            }
-        }
-        self.sweep_if_due();
-    }
-
-    /// SweepCache: persists at a region boundary once the live region
-    /// size has been committed since the last one.
-    fn sweep_if_due(&mut self) {
-        if self.cfg.design == EhsDesign::SweepCache
-            && self.inst_index - self.last_persist >= self.sweep_region_live
-        {
-            self.sweep();
         }
     }
 
@@ -1394,7 +1220,13 @@ impl<'p> Simulator<'p> {
                 self.edbp_scan(decay_ticks);
             }
         }
-        self.sweep_if_due();
+        // SweepCache persists at a region boundary once the live region
+        // size has been committed since the last one.
+        if self.cfg.design == EhsDesign::SweepCache
+            && self.inst_index - self.last_persist >= self.sweep_region_live
+        {
+            self.sweep();
+        }
         self.cachescope_tick();
 
         self.pump_gov_events();

@@ -1,4 +1,4 @@
-//! Convenience entry points used by examples, tests and the bench harness.
+//! Convenience entry points used by examples, tests and the experiment harness.
 
 use std::sync::{Arc, Mutex, OnceLock};
 

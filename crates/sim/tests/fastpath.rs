@@ -1,18 +1,18 @@
 //! Fast-path certification: the default [`ExecMode::FastForward`] must
 //! be *bit-identical* to [`ExecMode::Reference`] — the same machine step
-//! with every skip turned off (no ALU batching; shadow tags, deep-hit
-//! credit and the full cache paths always; a voltage sample every step;
-//! the capacitor's own `below_checkpoint()`). Same `SimStats` (every f64
+//! with every skip turned off (shadow tags, deep-hit credit and the full
+//! cache paths always; a voltage sample every step; the capacitor's own
+//! `below_checkpoint()`). Same `SimStats` (every f64
 //! energy accumulator included, so a single rounding difference fails),
 //! and the same architectural NVM image under fault injection.
 //!
 //! The matrix deliberately crosses the fast path's specialisations:
-//! ALU-run batching (Sha is ALU-heavy), compression-heavy repacking
+//! shallow ICache commits (Sha is ALU-heavy), compression-heavy repacking
 //! (Jpegd), every EHS design (SweepCache exercises rollback re-seeks),
-//! voltage-triggered Kagura (batching disabled, per-instruction voltage
-//! samples kept), recording/replaying oracle governors (shadow tags kept),
-//! both extensions (EDBP's scan countdown caps batch length; IPEX
-//! prefetch), and armed instruction budgets.
+//! voltage-triggered Kagura (per-instruction voltage samples kept),
+//! recording/replaying oracle governors (shadow tags kept), both
+//! extensions (EDBP's periodic scan; IPEX prefetch), and armed
+//! instruction budgets.
 
 use ehs_compress::Algorithm;
 use ehs_sim::faultinject::diff_nvm;
@@ -65,8 +65,8 @@ fn fast_forward_matches_reference_across_designs_and_governors() {
 #[test]
 fn fast_forward_matches_reference_for_voltage_triggered_kagura() {
     // A voltage trigger makes the governor consume every per-instruction
-    // voltage sample: batching must switch off and the sample must not be
-    // skipped. Crc32 is ALU-heavy, so a wrongly-enabled batch would show.
+    // voltage sample: the sample must not be skipped. Crc32 is ALU-heavy,
+    // so a sample skipped on a shallow-hit step would show.
     let kcfg =
         KaguraConfig { trigger: TriggerKind::Voltage { fraction: 0.5 }, ..Default::default() };
     for app in [App::Crc32, App::G721d] {
@@ -98,8 +98,8 @@ fn fast_forward_matches_reference_under_extensions() {
 
 #[test]
 fn fast_forward_matches_reference_with_instruction_budget() {
-    // An armed instruction budget caps batch length; the run must stop at
-    // the exact same instruction with the same exhaustion reason.
+    // An armed instruction budget: the run must stop at the exact same
+    // instruction with the same exhaustion reason.
     let mut cfg = SimConfig::table1().with_governor(GovernorSpec::Acc);
     cfg.step_budget = StepBudget::insts(5_000);
     let stats = assert_loops_match(App::Sha, 0.02, &cfg);
@@ -111,7 +111,7 @@ fn fast_forward_matches_reference_with_instruction_budget() {
 /// stats *and* identical cachescope reports — counters, histograms,
 /// boundary rows, occupancy snapshots, latency attribution, all of it.
 fn assert_cachescope_matches(app: App, scale: f64, cfg: &SimConfig) {
-    // A short period so snapshots land inside (and must cap) ALU batches.
+    // A short period so many snapshots land mid-cycle.
     let scope = CachescopeConfig::periodic(512);
     let program = app.build(scale);
     let trace = ehs_sim::runner::default_trace(cfg);
@@ -153,8 +153,8 @@ fn assert_cachescope_matches(app: App, scale: f64, cfg: &SimConfig) {
 #[test]
 fn cachescope_reports_match_between_loops() {
     for gov in [GovernorSpec::Acc, GovernorSpec::AccKagura(Default::default())] {
-        // Sha exercises ALU-run batching (snapshot boundaries must cap the
-        // batch); Jpegd exercises compression-heavy repacking.
+        // Sha exercises shallow ICache commits between snapshots; Jpegd
+        // exercises compression-heavy repacking.
         for app in [App::Sha, App::Jpegd] {
             let cfg = SimConfig::table1().with_governor(gov);
             assert_cachescope_matches(app, 0.004, &cfg);
@@ -165,7 +165,7 @@ fn cachescope_reports_match_between_loops() {
 #[test]
 fn cachescope_reports_match_under_edbp_and_sweepcache() {
     // EDBP makes forced (dead-block) evictions flow through the probe and
-    // stacks a second batch cap on top of the snapshot countdown.
+    // runs a second countdown beside the snapshot one.
     let mut cfg = SimConfig::table1().with_governor(GovernorSpec::Acc);
     cfg.extension = Extension::Edbp { decay_ticks: 64 };
     assert_cachescope_matches(App::Dijkstra, 0.004, &cfg);

@@ -63,14 +63,6 @@ impl FixedSum {
         self.0 = self.0.saturating_add(to_fixed(v));
     }
 
-    /// Adds `n` observations of the same value in O(1).
-    pub fn add_n(&mut self, v: f64, n: u64) {
-        let unit = to_fixed(v);
-        let scaled =
-            unit.checked_mul(n as i128).unwrap_or(if unit < 0 { i128::MIN } else { i128::MAX });
-        self.0 = self.0.saturating_add(scaled);
-    }
-
     /// Folds another accumulator in. Integer addition, hence exactly
     /// associative and commutative.
     pub fn merge(&mut self, other: &FixedSum) {
@@ -130,17 +122,6 @@ mod tests {
             folded.merge(s);
         }
         assert_eq!(folded, whole);
-    }
-
-    #[test]
-    fn add_n_matches_repeated_add() {
-        let mut batched = FixedSum::zero();
-        let mut looped = FixedSum::zero();
-        batched.add_n(0.3, 7);
-        for _ in 0..7 {
-            looped.add(0.3);
-        }
-        assert_eq!(batched, looped);
     }
 
     #[test]

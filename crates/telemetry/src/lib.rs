@@ -33,8 +33,8 @@
 //!   (flight records, cachescope, leakscope, fleet): line grammar,
 //!   dotted-path field accessors, `file:line` diagnostics, discovery.
 //! * [`spans`] — process-wide wall-clock spans (per experiment, per
-//!   simulation job) with the worker slot that ran them; drained by the
-//!   bench harness into `BENCH_harness.json`.
+//!   simulation job) with the worker slot that ran them; drained by
+//!   `repro --telemetry` into `spans.json`.
 //!
 //! # Overhead contract
 //!

@@ -64,18 +64,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Records `n` observations of the same value in O(1).
-    pub fn observe_n(&mut self, v: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let i = self.bounds.iter().position(|&b| v <= b).unwrap_or(self.bounds.len());
-        self.counts[i] += n;
-        self.total += n;
-        self.sum.add_n(v, n);
-        self.max = self.max.max(v);
-    }
-
     /// Folds `other` into `self` bucket-by-bucket. Because the buckets
     /// are fixed, the merge is exact: counts, totals and sums add, and
     /// every quantile estimate afterwards equals the estimate a single
@@ -451,7 +439,9 @@ mod tests {
         // The old estimator returned the last finite bound (10.0),
         // understating the tail by orders of magnitude.
         let mut h = Histogram::with_bounds(&[5.0, 10.0]);
-        h.observe_n(1.0, 99);
+        for _ in 0..99 {
+            h.observe(1.0);
+        }
         h.observe(800.0);
         h.observe(1000.0);
         let p99 = h.percentile(0.99);
@@ -510,21 +500,6 @@ mod tests {
         let b = Histogram::with_bounds(&[1.0, 4.0]);
         let err = a.merge(&b).unwrap_err();
         assert!(err.contains("bounds mismatch"), "{err}");
-    }
-
-    #[test]
-    fn observe_n_matches_repeated_observe() {
-        let mut batched = Histogram::with_bounds(&[4.0, 8.0]);
-        let mut looped = Histogram::with_bounds(&[4.0, 8.0]);
-        batched.observe_n(3.0, 5);
-        batched.observe_n(100.0, 2);
-        for _ in 0..5 {
-            looped.observe(3.0);
-        }
-        for _ in 0..2 {
-            looped.observe(100.0);
-        }
-        assert_eq!(batched, looped);
     }
 
     #[test]

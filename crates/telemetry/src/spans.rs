@@ -1,9 +1,9 @@
 //! Process-wide wall-clock timing spans.
 //!
 //! The parallel experiment harness wraps each experiment and each leaf
-//! simulation job in a span; the `bench` binary drains them into
-//! `BENCH_harness.json` so per-experiment wall-clock sits next to the
-//! harness total. Recording is off by default: creating a span while
+//! simulation job in a span; `repro --telemetry` drains them into
+//! `spans.json` so per-experiment wall-clock sits next to the harness
+//! total. Recording is off by default: creating a span while
 //! disabled is one relaxed atomic load and the label closure is never
 //! invoked.
 //!

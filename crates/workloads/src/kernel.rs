@@ -291,29 +291,8 @@ impl KernelProgram {
     ///
     /// Panics if `index >= self.len()`.
     pub fn cursor(&self, index: u64) -> InstCursor<'_> {
-        let mut c = InstCursor {
-            program: self,
-            index: 0,
-            pi: 0,
-            iter: 0,
-            slot: 0,
-            path: 0,
-            body_span: 0,
-            alu_runs: self
-                .phases
-                .iter()
-                .map(|p| {
-                    // alu_runs[pi][slot] = consecutive Alu ops from `slot`.
-                    let mut runs = vec![0u32; p.body.len()];
-                    for (i, op) in p.body.iter().enumerate().rev() {
-                        if matches!(op, Op::Alu) {
-                            runs[i] = 1 + runs.get(i + 1).copied().unwrap_or(0);
-                        }
-                    }
-                    runs
-                })
-                .collect(),
-        };
+        let mut c =
+            InstCursor { program: self, index: 0, pi: 0, iter: 0, slot: 0, path: 0, body_span: 0 };
         c.seek(index);
         c
     }
@@ -379,9 +358,6 @@ pub struct InstCursor<'p> {
     path: u64,
     /// Code bytes spanned by one path's body (block-aligned).
     body_span: u64,
-    /// Per phase: `alu_runs[pi][slot]` = consecutive [`Op::Alu`] slots
-    /// starting at `slot` (0 when the slot is a memory op).
-    alu_runs: Vec<Vec<u32>>,
 }
 
 impl<'p> InstCursor<'p> {
@@ -426,18 +402,9 @@ impl<'p> InstCursor<'p> {
     }
 
     /// Program counter of the instruction at the current position.
-    pub fn pc(&self) -> Address {
+    fn pc(&self) -> Address {
         let phase = &self.program.phases[self.pi];
         Address::new(phase.code_base + self.path * self.body_span + 4 * self.slot as u64)
-    }
-
-    /// Number of consecutive [`Op::Alu`] slots starting at the current
-    /// position, clipped to the end of the loop body and of the program
-    /// (0 when the current op is a memory access). Within such a run the
-    /// program counter advances by 4 per instruction.
-    pub fn alu_run_len(&self) -> u64 {
-        let run = self.alu_runs[self.pi][self.slot] as u64;
-        run.min(self.program.len() - self.index)
     }
 
     /// Decodes the instruction at the current position and advances.
@@ -453,42 +420,25 @@ impl<'p> InstCursor<'p> {
             Op::Load(a) => Instruction::load(pc, a.at(self.iter)),
             Op::Store(a, v) => Instruction::store(pc, a.at(self.iter), v.at(self.iter)),
         };
-        self.advance(1);
-        inst
-    }
-
-    /// Advances the position by `n` instructions without decoding them
-    /// (the fast-forward loop consumes ALU runs this way). Positions past
-    /// the last instruction saturate at `program.len()`.
-    pub fn advance(&mut self, n: u64) {
-        debug_assert!(self.index + n <= self.program.len(), "cursor advanced out of range");
-        self.index += n;
+        self.index += 1;
         if self.index >= self.program.len() {
-            return;
+            return inst;
         }
-        let mut left = n as usize + self.slot;
-        loop {
-            let phase = &self.program.phases[self.pi];
-            let body_len = phase.body.len();
-            if left < body_len {
-                self.slot = left;
-                return;
-            }
-            left -= body_len;
-            self.slot = 0;
-            self.iter += 1;
-            if self.iter >= phase.iterations {
-                self.iter = 0;
-                self.pi += 1;
-                if self.pi >= self.program.phases.len() {
-                    self.pi = 0; // next repetition
-                }
-            }
-            self.enter_iteration();
-            if left == 0 {
-                return;
+        self.slot += 1;
+        if self.slot < phase.body.len() {
+            return inst;
+        }
+        self.slot = 0;
+        self.iter += 1;
+        if self.iter >= phase.iterations {
+            self.iter = 0;
+            self.pi += 1;
+            if self.pi >= self.program.phases.len() {
+                self.pi = 0; // next repetition
             }
         }
+        self.enter_iteration();
+        inst
     }
 }
 
@@ -676,43 +626,6 @@ mod tests {
             c.seek(i);
             assert_eq!(c.next_inst(), p.inst_at(i), "seek {i}");
         }
-    }
-
-    #[test]
-    fn cursor_alu_runs_cover_exactly_the_alu_slots() {
-        let p = KernelProgram::new(tiny_spec());
-        let mut c = p.cursor(0);
-        for i in 0..p.len() {
-            let run = c.alu_run_len();
-            let is_alu = matches!(p.inst_at(i).kind, InstKind::Alu);
-            assert_eq!(run > 0, is_alu, "index {i}");
-            // Every instruction a claimed run covers is an ALU op with a
-            // PC advancing by 4.
-            for k in 0..run {
-                let inst = p.inst_at(i + k);
-                assert!(matches!(inst.kind, InstKind::Alu), "index {i} + {k}");
-                assert_eq!(inst.pc, p.inst_at(i).pc + 4 * k);
-            }
-            c.advance(1);
-        }
-    }
-
-    #[test]
-    fn cursor_advance_over_runs_stays_in_sync() {
-        let p = KernelProgram::new(tiny_spec());
-        let mut c = p.cursor(0);
-        let mut i = 0;
-        while i < p.len() {
-            let run = c.alu_run_len();
-            if run > 1 {
-                c.advance(run);
-                i += run;
-            } else {
-                assert_eq!(c.next_inst(), p.inst_at(i));
-                i += 1;
-            }
-        }
-        assert_eq!(c.index(), p.len());
     }
 
     #[test]
